@@ -10,18 +10,21 @@ reconstruction variance ``lambda_hat >= 0``:
     rate        0.5*log(lam/gamma)
 
 Given positive multipliers ``(nu1, nu2)`` for the two budgets, the inner
-minimization of ``rate + nu1*D + nu2*P`` decouples per component and has the
-closed-form stationary points implemented here.
+minimization of ``rate + nu1*D + nu2*P`` decouples per component.  The
+stationary maps here take the whole vector of component variances (already
+validated by ``SourceSpectrum``) and return arrays of water levels and
+reconstruction variances, so that one dual evaluation is one call per map.
 
 KL metric: ``gamma`` is the unique root in ``(0, lam)`` of
 
     nu1*(1 - 2*nu1*g) = 0.5*nu2*(4*g^2*nu1^2/(lam-g) - 1/lam)
 
-after which ``lambda_hat = (lam-g)/(4*g^2*nu1^2)``. The root is found on the
-``(lam-g)``-scaled form of the equation, a quadratic with a guaranteed sign
-change over ``(0, lam)`` and no pole, then Newton-polished; the explicit
-quadratic formula is kept only as a cross-check because its valid sign
-branch flips with ``nu2 - 1``.
+after which ``lambda_hat = (lam-g)/(4*g^2*nu1^2)``.  Scaled by ``(lam-g)``
+the equation is a quadratic with a sign change over ``(0, lam)`` and no
+pole.  Its root is taken in closed form, by the cancellation-free quadratic
+formula, in the gap variable ``lam - g`` where the gap is at most ``lam/2``
+and in ``g`` itself elsewhere; the ``g`` root is then Newton-polished.
+Elements where neither closed form lands inside ``(0, lam)`` are bisected.
 
 W2 metric: with ``theta = sqrt((lam-g)/lambda_hat)``, ``theta`` is the
 unique root of
@@ -30,31 +33,37 @@ unique root of
 
 whose left side increases and right side decreases over the bracket
 ``(0, min(1, 2*nu1*lam))``; then ``gamma = theta/(2*nu1)`` and
-``lambda_hat = lam/(1 + (1-theta)*nu1/nu2)^2``.
+``lambda_hat = lam/(1 + (1-theta)*nu1/nu2)^2``.  The difference of the two
+sides is convex and increasing, so a Newton iteration started to the right
+of the root falls onto it; it runs on the whole array at once, with
+per-element brackets and a bisection step for any element whose Newton step
+leaves its bracket.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import sys
 
-from .errors import DomainError, DualDegenerateError
+import numpy as np
+
+from .errors import ConvergenceError, DomainError, DualDegenerateError
 from .rootfind import bisect_root
 
 __all__ = [
-    "ThetaFixedPoint",
     "distortion_component",
     "perception_component_kl",
     "perception_component_w2",
-    "stationary_gamma_kl",
-    "stationary_gamma_kl_quadratic",
-    "kl_unique_residual",
-    "stationary_lambda_hat_kl",
-    "gamma_from_lambda_hat",
-    "theta_fixed_point_w2",
+    "stationary_pair_kl",
     "stationary_pair_w2",
     "perfect_perception_gamma",
 ]
+
+# relative Newton step at which a W2 element counts as converged; the next
+# step would be far below rounding
+_THETA_RTOL = 1e-14
+_THETA_MAX_ITER = 100
+_KL_POLISH_STEPS = 3
 
 
 def _check_lambda(lam: float) -> None:
@@ -84,14 +93,17 @@ def perception_component_kl(lam: float, lambda_hat: float) -> float:
 
     Returns ``+inf`` at ``lambda_hat = 0`` (point mass against a density),
     which is what lets the solver reject zero-variance reconstructions
-    under any finite KL budget.
+    under any finite KL budget.  The ``x - log1p(x)`` form, with
+    ``x = lambda_hat/lam - 1``, keeps relative precision for divergences
+    far below one.
     """
     _check_lambda(lam)
     if lambda_hat < 0.0 or math.isnan(lambda_hat):
         raise DomainError(f"lambda_hat must be nonnegative, got {lambda_hat!r}")
     if lambda_hat == 0.0:
         return math.inf
-    return 0.5 * (lambda_hat / lam - 1.0 + math.log(lam / lambda_hat))
+    x = lambda_hat / lam - 1.0
+    return 0.5 * (x - math.log1p(x))
 
 
 def perception_component_w2(lam: float, lambda_hat: float) -> float:
@@ -103,215 +115,142 @@ def perception_component_w2(lam: float, lambda_hat: float) -> float:
     return d * d
 
 
-def kl_unique_residual(lam: float, nu1: float, nu2: float, gamma: float) -> float:
-    """Residual of the KL stationarity equation at a candidate gamma."""
-    return nu1 * (1.0 - 2.0 * nu1 * gamma) - 0.5 * nu2 * (
-        4.0 * gamma * gamma * nu1 * nu1 / (lam - gamma) - 1.0 / lam
-    )
+def _root_inside(a: float, b: np.ndarray, c: np.ndarray, lam: np.ndarray) -> np.ndarray:
+    """Smallest root in ``(0, lam)`` of ``a*x^2 + b*x + c``, ``inf`` if none.
+
+    The roots come from the quadratic formula in the form that avoids
+    cancellation; a negative discriminant or an overflow leaves no root.
+    """
+    if a == 0.0:
+        r = -c / b
+        return np.where((r > 0.0) & (r < lam), r, np.inf)
+    q = -0.5 * (b + np.copysign(np.sqrt(b * b - 4.0 * a * c), b))
+    r1 = q / a
+    r2 = c / q
+    r1 = np.where((r1 > 0.0) & (r1 < lam), r1, np.inf)
+    return np.minimum(r1, np.where((r2 > 0.0) & (r2 < lam), r2, np.inf))
 
 
-def _kl_quadratic_coeffs(lam: float, nu1: float, nu2: float) -> tuple[float, float, float]:
-    a = 2.0 * nu1 * nu1 * (1.0 - nu2)
-    b = -(nu1 + 2.0 * nu1 * nu1 * lam + 0.5 * nu2 / lam)
-    c = nu1 * lam + 0.5 * nu2
-    return a, b, c
+def stationary_pair_kl(
+    lam: np.ndarray, nu1: float, nu2: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Jointly stationary ``(gamma, lambda_hat)`` of every KL component.
 
-
-def stationary_gamma_kl(lam: float, nu1: float, nu2: float) -> float:
-    """Optimal water level of one component under the KL metric.
-
-    Unique root in ``(0, lam)`` of the stationarity equation; strictly
-    below ``lam`` for any positive multipliers.
+    The reconstruction variance is built from the gap ``lam - gamma``,
+    taken from the gap form of the quadratic wherever the gap is at most
+    ``lam/2``, so components pinned near zero rate keep an accurate
+    ``lambda_hat`` even when the water level itself rounds to ``lam``.  May
+    return a nonfinite or zero ``lambda_hat`` when the multipliers are
+    degenerate enough to underflow the gap; callers should treat that as a
+    zero-rate boundary evaluation.
 
     Raises
     ------
     DualDegenerateError
         If either multiplier is not strictly positive.
     """
-    _check_lambda(lam)
     _check_duals(nu1, nu2)
-    a, b, c = _kl_quadratic_coeffs(lam, nu1, nu2)
-
-    def h(g: float) -> float:
-        return (a * g + b) * g + c
-
-    # endpoint signs are known analytically: h(0) = c > 0, h(lam) = -2*nu1^2*lam^2*nu2 < 0
-    root = bisect_root(h, 0.0, lam, f_lo=c, f_hi=-2.0 * nu1 * nu1 * lam * lam * nu2)
-    for _ in range(3):
-        slope = 2.0 * a * root + b
-        if slope == 0.0:
-            break
-        step = h(root) / slope
-        candidate = root - step
-        if 0.0 < candidate < lam and abs(h(candidate)) <= abs(h(root)):
-            root = candidate
-        else:
-            break
-    return root
-
-
-def stationary_gamma_kl_quadratic(lam: float, nu1: float, nu2: float) -> float:
-    """Explicit-formula cross-check for the KL water level, ``nu2 != 1`` only.
-
-    Solves the same quadratic in closed form and returns the root lying in
-    ``(0, lam)``; kept separate from the production path because the valid
-    sign branch depends on ``nu2 - 1``.
-    """
-    _check_lambda(lam)
-    _check_duals(nu1, nu2)
-    a, b, c = _kl_quadratic_coeffs(lam, nu1, nu2)
-    if a == 0.0:
-        return -c / b
-    disc = b * b - 4.0 * a * c
-    if disc < 0.0:
-        raise DomainError("quadratic discriminant negative; no real stationary point")
-    q = -0.5 * (b + math.copysign(math.sqrt(disc), b))
-    roots = [q / a]
-    if q != 0.0:
-        roots.append(c / q)
-    inside = [r for r in roots if 0.0 < r < lam]
-    if not inside:
-        raise DomainError(f"no quadratic root inside (0, {lam}): {roots}")
-    return inside[0]
-
-
-def stationary_gap_kl(lam: float, nu1: float, nu2: float) -> float:
-    """Gap ``lam - gamma`` at the KL stationary point, free of cancellation.
-
-    Rewriting the stationarity quadratic in the gap variable keeps full
-    relative precision when the optimal water level sits within rounding
-    distance of ``lam``, where forming ``lam - gamma`` from the water level
-    would lose every significant digit.  The constant term of the shifted
-    quadratic is the exact product ``-2 nu1^2 lam^2 nu2``.
-    """
-    _check_lambda(lam)
-    _check_duals(nu1, nu2)
-    a, b0, _ = _kl_quadratic_coeffs(lam, nu1, nu2)
-    b = -(2.0 * a * lam + b0)
-    c = -2.0 * nu1 * nu1 * lam * lam * nu2
-    if a == 0.0:
-        return -c / b
-    disc = b * b - 4.0 * a * c
-    if disc < 0.0:
-        raise DomainError("quadratic discriminant negative; no real stationary point")
-    q = -0.5 * (b + math.copysign(math.sqrt(disc), b))
-    roots = [q / a]
-    if q != 0.0:
-        roots.append(c / q)
-    inside = [r for r in roots if 0.0 < r < lam]
-    if not inside:
-        raise DomainError(f"no gap root inside (0, {lam}): {roots}")
-    return min(inside)
-
-
-def stationary_pair_kl(lam: float, nu1: float, nu2: float) -> tuple[float, float]:
-    """Jointly stationary ``(gamma, lambda_hat)`` of one KL component.
-
-    The reconstruction variance is built from the gap form so components
-    pinned near zero rate keep an accurate ``lambda_hat`` even when the
-    water level itself rounds to ``lam``.  May return a nonfinite or zero
-    ``lambda_hat`` when the multipliers are degenerate enough to underflow
-    the gap; callers should treat that as a zero-rate boundary evaluation.
-    """
-    try:
-        gap = stationary_gap_kl(lam, nu1, nu2)
-    except DomainError:
-        gap = None
-    if gap is not None and gap <= 0.5 * lam:
+    a = 2.0 * nu1 * nu1 * (1.0 - nu2)
+    with np.errstate(all="ignore"):
+        b = -(nu1 + 2.0 * nu1 * nu1 * lam + 0.5 * nu2 / lam)
+        # gap quadratic: shift g = lam - x; its constant term is the exact
+        # product -2 nu1^2 lam^2 nu2
+        gap = _root_inside(a, -(2.0 * a * lam + b), -2.0 * nu1 * nu1 * nu2 * lam * lam, lam)
         gamma = lam - gap
-    else:
-        gamma = stationary_gamma_kl(lam, nu1, nu2)
-        gap = lam - gamma
-    denom = 4.0 * gamma * gamma * nu1 * nu1
-    lam_hat = gap / denom if denom > 0.0 else math.nan
+        far = ~(gap <= 0.5 * lam)
+        if far.any():
+            l, bf = lam[far], b[far]
+            c = nu1 * l + 0.5 * nu2
+            g = _root_inside(a, bf, c, l)
+            for i in np.flatnonzero(np.isinf(g)):
+                # h(0) = c > 0 and h(lam) = -2 nu1^2 lam^2 nu2 < 0
+                li, bi, ci = float(l[i]), float(bf[i]), float(c[i])
+                g[i] = bisect_root(
+                    lambda x: (a * x + bi) * x + ci, 0.0, li,
+                    f_lo=ci, f_hi=-2.0 * nu1 * nu1 * li * li * nu2,
+                )
+            h = (a * g + bf) * g + c
+            for _ in range(_KL_POLISH_STEPS):
+                cand = g - h / (2.0 * a * g + bf)
+                h_cand = (a * cand + bf) * cand + c
+                take = (cand > 0.0) & (cand < l) & (np.abs(h_cand) <= np.abs(h))
+                if not take.any():
+                    break
+                g = np.where(take, cand, g)
+                h = np.where(take, h_cand, h)
+            gamma[far] = g
+            gap[far] = l - g
+        lam_hat = gap / (4.0 * gamma * gamma * (nu1 * nu1))
     return gamma, lam_hat
 
 
-def stationary_lambda_hat_kl(lam: float, gamma: float, nu1: float) -> float:
-    """Optimal reconstruction variance under KL, given the water level."""
-    _check_lambda(lam)
-    if not 0.0 < gamma < lam:
-        raise DomainError(f"gamma must lie in (0, {lam}), got {gamma!r}")
-    if not nu1 > 0.0:
-        raise DualDegenerateError(f"nu1 must be positive, got {nu1!r}")
-    return (lam - gamma) / (4.0 * gamma * gamma * nu1 * nu1)
+def _theta_w2(cap: np.ndarray, u: float) -> np.ndarray:
+    """Root of the W2 balance equation for every ``cap = 2*nu1*lam``.
 
-
-def gamma_from_lambda_hat(lam: float, lambda_hat: float, nu1: float) -> float:
-    """Water level from the reconstruction variance, KL stationarity inverse."""
-    _check_lambda(lam)
-    if not lambda_hat > 0.0:
-        raise DomainError(f"lambda_hat must be positive, got {lambda_hat!r}")
-    if not nu1 > 0.0:
-        raise DualDegenerateError(f"nu1 must be positive, got {nu1!r}")
-    # hypot form of sqrt(1 + 16*lam*lambda_hat*nu1^2) avoids squaring; the
-    # split square roots keep lam*lambda_hat itself in double range
-    z = 4.0 * nu1 * math.sqrt(lam) * math.sqrt(lambda_hat)
-    if z > 1e17:
-        # 1 + sqrt(1 + z^2) equals z to machine precision, including z = inf
-        return math.sqrt(lam) / math.sqrt(lambda_hat) / (2.0 * nu1)
-    return 2.0 * lam / (1.0 + math.hypot(1.0, z))
-
-
-@dataclass(frozen=True)
-class ThetaFixedPoint:
-    """Root of the W2 balance equation with its achieved residual."""
-
-    theta: float
-    residual: float
-
-
-def theta_fixed_point_w2(lam: float, nu1: float, nu2: float) -> ThetaFixedPoint:
-    """Solve the W2 balance equation for one component.
-
-    The left side increases from 0 and the right side decreases from 1 over
-    ``(0, min(1, 2*nu1*lam))``, so the crossing is unique; bisection plus a
-    Newton polish leaves a residual at machine level (``<= 1e-12``
-    contractually).
+    Where ``cap < 1`` the root is pinned between ``cap*(1 - y^2)`` for
+    ``y`` the left side at ``cap``, and ``cap*(1 - y0^2)`` for ``y0`` the
+    left side at that lower bound; elsewhere the bracket is ``(0, 1]``.
+    The iteration starts at the upper end, where the slope is finite, and a
+    converged element's tiny step is taken even when it touches a bracket
+    end, so that it is not bisected away from its root.
     """
-    _check_lambda(lam)
-    _check_duals(nu1, nu2)
-    u = nu1 / nu2
-    cap = 2.0 * nu1 * lam
-
-    def g(t: float) -> float:
-        return t / (1.0 + (1.0 - t) * u) - math.sqrt(max(1.0 - t / cap, 0.0))
-
-    def g_prime(t: float) -> float:
+    up = 1.0 + u
+    small = cap < 1.0
+    y = cap / (1.0 + (1.0 - cap) * u)
+    lo = np.where(small, cap * (1.0 - y * y), 0.0)
+    y0 = lo / (1.0 + (1.0 - lo) * u)
+    hi = np.where(small, cap * (1.0 - y0 * y0), 1.0)
+    # a start on t = cap would meet the infinite slope of the square root
+    t = np.where(hi < cap, hi, 0.5 * (lo + hi))
+    for _ in range(_THETA_MAX_ITER):
         den = 1.0 + (1.0 - t) * u
-        lhs = (1.0 + u) / (den * den)
-        inner = max(1.0 - t / cap, 1e-300)
-        return lhs + 0.5 / (cap * math.sqrt(inner))
-
-    hi = min(1.0, cap)
-    root = bisect_root(g, 0.0, hi, f_lo=-1.0)
-    for _ in range(4):
-        step = g(root) / g_prime(root)
-        candidate = root - step
-        if 0.0 < candidate < hi and abs(g(candidate)) <= abs(g(root)):
-            root = candidate
-        else:
-            break
-    return ThetaFixedPoint(theta=root, residual=g(root))
-
-
-def stationary_pair_w2(lam: float, nu1: float, nu2: float) -> tuple[float, float]:
-    """Optimal (water level, reconstruction variance) under the W2 metric."""
-    theta = theta_fixed_point_w2(lam, nu1, nu2).theta
-    gamma = theta / (2.0 * nu1)
-    den = 1.0 + (1.0 - theta) * nu1 / nu2
-    lambda_hat = lam / (den * den)
-    return gamma, lambda_hat
+        r = np.sqrt(np.maximum(1.0 - t / cap, 0.0))
+        g = t / den - r
+        step = g / (up / (den * den) + 0.5 / (cap * r))
+        nxt = t - step
+        done = np.abs(step) <= _THETA_RTOL * t
+        if done.all():
+            return nxt
+        left = g < 0.0
+        lo = np.where(left, t, lo)
+        hi = np.where(left, hi, t)
+        t = np.where(done | ((lo < nxt) & (nxt < hi)), nxt, 0.5 * (lo + hi))
+    raise ConvergenceError(
+        "W2 balance iteration budget exhausted", max_iter=_THETA_MAX_ITER
+    )
 
 
-def perfect_perception_gamma(lam: float, nu1: float) -> float:
-    """Water level of one component when the reconstruction law is pinned.
+def stationary_pair_w2(
+    lam: np.ndarray, nu1: float, nu2: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Optimal (water level, reconstruction variance) of every W2 component.
+
+    ``theta`` is iterated until its Newton step falls below ``1e-14`` of it.
+
+    Raises
+    ------
+    DualDegenerateError
+        If either multiplier is not strictly positive.
+    ConvergenceError
+        If the balance iteration does not settle (not seen in practice).
+    """
+    _check_duals(nu1, nu2)
+    # a ratio that overflows is replaced by the largest double, whose root
+    # is the same to machine precision and keeps the iteration free of inf*0
+    u = min(nu1 / nu2, sys.float_info.max)
+    with np.errstate(all="ignore"):
+        theta = _theta_w2(2.0 * nu1 * lam, u)
+        den = 1.0 + (1.0 - theta) * u
+        return theta / (2.0 * nu1), lam / (den * den)
+
+
+def perfect_perception_gamma(lam, nu1: float):
+    """Water level of each component when the reconstruction law is pinned.
 
     This is the KL/W2-independent perfect-perception solution
     ``2*lam/(1 + sqrt(1 + 16*nu1^2*lam^2))``, in ``(0, lam)`` for any
-    positive ``nu1``.
+    positive ``nu1``; ``lam`` is a variance or an array of them.
     """
-    _check_lambda(lam)
     if not nu1 > 0.0:
         raise DualDegenerateError(f"nu1 must be positive, got {nu1!r}")
-    return 2.0 * lam / (1.0 + math.hypot(1.0, 4.0 * nu1 * lam))
+    return 2.0 * lam / (1.0 + np.hypot(1.0, 4.0 * nu1 * lam))

@@ -1,11 +1,12 @@
-"""Safeguarded scalar bisection shared by every root-find in the package.
+"""Safeguarded scalar bisection for the package's bracketed scalar searches.
 
-All solvers reduce their one-dimensional searches to sign-change brackets, so
-a single bisection routine with fixed stopping semantics (relative bracket
-width 1e-14 or 200 iterations, whichever first) keeps tolerance behaviour
-uniform. Endpoint function values may be supplied by the caller when an
-endpoint itself is outside the evaluable domain (e.g. a pole with known
-sign); only interior midpoints are then evaluated.
+The zero-rate KL multiplier and the rare KL stationary points that no closed
+form reaches are found on sign-change brackets, so a single bisection
+routine with fixed stopping semantics (relative bracket width 1e-14 or 200
+iterations, whichever first) keeps tolerance behaviour uniform. Endpoint
+function values may be supplied by the caller when an endpoint itself is
+outside the evaluable domain (e.g. a pole with known sign); only interior
+midpoints are then evaluated.
 """
 
 from __future__ import annotations

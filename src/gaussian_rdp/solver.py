@@ -18,8 +18,12 @@ A query (D, P, metric) lands in one of three regimes, checked in order:
    two-by-two slack system once they make progress.
 
 A perception budget of exactly zero pins every reconstruction variance to
-its source variance, sending nu2 to infinity;that regime is handled by a
-dedicated fast path that bisects on the single remaining multiplier.
+its source variance, sending nu2 to infinity; that regime is handled by a
+dedicated fast path that runs a bracketed Newton iteration on the log of
+the single remaining multiplier.
+
+Every dual evaluation works on the whole spectrum at once: one call to the
+array-valued stationary map of the metric, then array sums.
 """
 
 from __future__ import annotations
@@ -31,14 +35,7 @@ import numpy as np
 
 from .classic_rd import reverse_waterfill
 from .errors import ConvergenceError, DomainError, LineSearchError, OutOfRangeError
-from .kernels import (
-    distortion_component,
-    perception_component_kl,
-    perception_component_w2,
-    perfect_perception_gamma,
-    stationary_pair_kl,
-    stationary_pair_w2,
-)
+from .kernels import perfect_perception_gamma, stationary_pair_kl, stationary_pair_w2
 from .kkt import residuals as kkt_residuals
 from .model import (
     ComponentAllocation,
@@ -50,7 +47,6 @@ from .model import (
     TradeoffQuery,
     zero_rate_reconstruction,
 )
-from .rootfind import bisect_root
 
 __all__ = [
     "SolverConfig",
@@ -67,6 +63,7 @@ DUAL_FLOOR = 1e-300
 _ARMIJO_C = 1e-4
 _MAX_BACKTRACKS = 60
 _MAX_NEWTON_BACKTRACKS = 25
+_P0_MAX_ITER = 200
 
 
 @dataclass(frozen=True)
@@ -74,7 +71,8 @@ class SolverConfig:
     """Convergence knobs for the dual search.
 
     ``distortion_tol`` is relative to the total source variance;
-    ``perception_tol`` is relative to ``max(1, P)``.
+    ``perception_tol`` is relative to the perception budget ``P`` itself,
+    so a small budget is met to the same number of digits as a large one.
     """
 
     distortion_tol: float = 1e-9
@@ -93,16 +91,20 @@ class SolverConfig:
 
 def _perception_sum(lam: np.ndarray, hats: np.ndarray, metric: PerceptionMetric) -> float:
     if metric is PerceptionMetric.KL:
-        return float(sum(perception_component_kl(l, h) for l, h in zip(lam, hats)))
+        if not hats.all():
+            # a collapsed component: point mass against a density
+            return math.inf
+        # x - log1p(x) keeps relative precision for tiny divergences
+        x = hats / lam - 1.0
+        return float(0.5 * (x - np.log1p(x)).sum())
     if metric is PerceptionMetric.W2:
-        return float(sum(perception_component_w2(l, h) for l, h in zip(lam, hats)))
+        d = np.sqrt(lam) - np.sqrt(hats)
+        return float((d * d).sum())
     return math.nan
 
 
 def _distortion_sum(lam: np.ndarray, gammas: np.ndarray, hats: np.ndarray) -> float:
-    return float(
-        sum(distortion_component(l, g, h) for l, g, h in zip(lam, gammas, hats))
-    )
+    return float((lam - 2.0 * np.sqrt(hats * np.maximum(lam - gammas, 0.0)) + hats).sum())
 
 
 def _assemble(
@@ -117,21 +119,25 @@ def _assemble(
     case: SolutionCase,
 ) -> RdpSolution:
     lam = s.lambdas
-    allocations = []
-    for l, g, h in zip(lam, gammas, hats):
-        rate = 0.5 * math.log(l / g) if g < l else 0.0
-        allocations.append(
-            ComponentAllocation(gamma=float(g), lambda_hat=float(h), rate=rate)
-        )
+    rates = 0.5 * np.log(lam / np.minimum(gammas, lam))
     resid = kkt_residuals(lam, gammas, hats, nu1, nu2, metric, D, P).max_abs()
     return RdpSolution(
-        total_rate=float(sum(a.rate for a in allocations)),
-        allocations=tuple(allocations),
+        total_rate=float(rates.sum()),
+        allocations=_allocations(gammas, hats, rates),
         dual=DualPoint(nu1=nu1, nu2=nu2),
         case_tag=case,
         kkt_residual=resid,
         achieved_distortion=_distortion_sum(lam, gammas, hats),
         achieved_perception=_perception_sum(lam, hats, metric),
+    )
+
+
+def _allocations(
+    gammas: np.ndarray, hats: np.ndarray, rates: np.ndarray
+) -> tuple[ComponentAllocation, ...]:
+    return tuple(
+        ComponentAllocation(gamma=g, lambda_hat=h, rate=r)
+        for g, h, r in zip(gammas.tolist(), hats.tolist(), rates.tolist())
     )
 
 
@@ -152,22 +158,18 @@ def _evaluate_dual(
     lam: np.ndarray, nu1: float, nu2: float, metric: PerceptionMetric,
     D: float, P: float,
 ) -> _DualState:
-    gammas = np.empty_like(lam)
-    hats = np.empty_like(lam)
-    for i, l in enumerate(lam):
-        if metric is PerceptionMetric.KL:
-            g, h = stationary_pair_kl(float(l), nu1, nu2)
-            if not (h > 0.0 and math.isfinite(h)):
-                # multipliers degenerate enough to underflow the interior
-                # point; evaluate on the zero-rate boundary instead so the
-                # dual value stays finite
-                g = float(l)
-                h = float(l) * nu2 / (nu2 + 2.0 * nu1 * float(l))
-        else:
-            g, h = stationary_pair_w2(float(l), nu1, nu2)
-        gammas[i] = g
-        hats[i] = h
-    rate = float(np.sum(0.5 * np.log(lam / gammas)))
+    if metric is PerceptionMetric.KL:
+        gammas, hats = stationary_pair_kl(lam, nu1, nu2)
+        bad = ~((hats > 0.0) & (hats < math.inf))
+        if bad.any():
+            # multipliers degenerate enough to underflow the interior
+            # point; evaluate on the zero-rate boundary instead so the
+            # dual value stays finite
+            gammas[bad] = lam[bad]
+            hats[bad] = lam[bad] * nu2 / (nu2 + 2.0 * nu1 * lam[bad])
+    else:
+        gammas, hats = stationary_pair_w2(lam, nu1, nu2)
+    rate = 0.5 * float(np.log(lam / gammas).sum())
     dist = _distortion_sum(lam, gammas, hats)
     perc = _perception_sum(lam, hats, metric)
     value = rate + nu1 * (dist - D) + nu2 * (perc - P)
@@ -222,8 +224,11 @@ def _dual_search(
 ) -> RdpSolution:
     lam = s.lambdas
     tol_d = cfg.distortion_tol * s.total_variance
-    tol_p = cfg.perception_tol * max(1.0, P)
-    nu = np.array([lam.size / (2.0 * D), 1.0])
+    tol_p = cfg.perception_tol * P
+    # nu1 carries units of 1/distortion, and so does nu2 under W2, whose
+    # budget is a squared distance; the KL budget is dimensionless
+    nu1 = lam.size / (2.0 * D)
+    nu = np.array([nu1, nu1 if metric is PerceptionMetric.W2 else 1.0])
     state = _evaluate_dual(lam, nu[0], nu[1], metric, D, P)
     step = cfg.dual_step_init
     for iteration in range(cfg.max_dual_iterations):
@@ -337,55 +342,84 @@ def solve(
 def _perfect_perception_interior(
     s: SourceSpectrum, D: float, cfg: SolverConfig
 ) -> RdpSolution:
-    """Bisect the single multiplier of the pinned-variance problem."""
+    """Solve the single multiplier of the pinned-variance problem.
+
+    With ``z = 4*nu1*lam`` and ``h = hypot(1, z)`` a component's distortion
+    is ``2*lam*(1 + 1/(h+z))/(1+h)`` and its shortfall from the ceiling
+    ``2*lam`` is ``c = 2*lam*z/(1+h)``, both free of cancellation; in
+    ``x = log(nu1)`` the distortion has slope ``-sum(c/h)``.  Newton runs on
+    ``log(distortion/D)`` when ``D`` is at most the total variance and on
+    ``log(shortfall_D/shortfall)`` above it: the first is concave and the
+    second convex in ``x``, and each starts on the side of the root from
+    which Newton's steps do not overshoot.  A bisection step inside the
+    sign bracket replaces any step that leaves it.
+    """
     lam = s.lambdas
+    two_lam = 2.0 * lam
+    total = s.total_variance
 
-    def distortion_at(log_nu1: float) -> float:
-        nu1 = math.exp(log_nu1)
-        total = 0.0
-        for l in lam:
-            z = 4.0 * nu1 * l
-            h = math.hypot(1.0, z)
-            # lam - gamma = lam z^2/(1+h)^2 exactly, so the square root of
-            # lam*(lam-gamma) is lam z/(1+h) with no cancellation
-            total += 2.0 * l * (1.0 + h - z) / (1.0 + h)
-        return total - D
+    def distortion(z: np.ndarray, h: np.ndarray) -> float:
+        return float((two_lam * (1.0 + 1.0 / (h + z)) / (1.0 + h)).sum())
 
-    lo = hi = math.log(lam.size / (2.0 * D))
-    f_lo = distortion_at(lo)
-    f_hi = f_lo
-    spread = math.log(4.0)
-    for _ in range(600):
-        if f_lo > 0.0:
+    low = D <= total
+    if low:
+        # the distortion is at most L/(2 nu1), so this start lies right of
+        # the root
+        x = math.log(lam.size / (2.0 * D))
+    else:
+        # the shortfall is at most 4 nu1 sum(lam^2): a start left of the root
+        short_d = 2.0 * total - D
+        x = math.log(short_d / (4.0 * float((lam * lam).sum())))
+    lo, hi = -math.inf, math.inf
+    for _ in range(_P0_MAX_ITER):
+        z = (4.0 * math.exp(x)) * lam
+        h = np.hypot(1.0, z)
+        c = two_lam * z / (1.0 + h)
+        slope = float((c / h).sum())
+        if low:
+            dist = distortion(z, h)
+            f = math.log(dist / D)
+            step = f * dist / slope
+        else:
+            short = float(c.sum())
+            f = math.log(short_d / short)
+            step = f * short / slope
+        # f falls as x grows
+        if f > 0.0:
+            lo = x
+        elif f < 0.0:
+            hi = x
+        else:
             break
-        lo -= spread
-        f_lo = distortion_at(lo)
-    for _ in range(600):
-        if f_hi < 0.0:
+        nxt = x + step
+        tol = 1e-14 * max(1.0, abs(x))
+        if abs(step) <= tol:
+            x = nxt
             break
-        hi += spread
-        f_hi = distortion_at(hi)
-    root = bisect_root(distortion_at, lo, hi, f_lo=f_lo, f_hi=f_hi, atol=1e-14)
-    nu1 = math.exp(root)
-    allocations = []
-    gammas = np.empty_like(lam)
-    achieved = 0.0
-    for i, l in enumerate(lam):
-        z = 4.0 * nu1 * float(l)
-        h = math.hypot(1.0, z)
-        gammas[i] = perfect_perception_gamma(float(l), nu1)
-        # log1p form of (1/2) log((1+h)/2) survives rates far below 1e-16
-        rate = 0.5 * math.log1p(z * z / (2.0 * (1.0 + h)))
-        achieved += 2.0 * float(l) * (1.0 + h - z) / (1.0 + h)
-        allocations.append(
-            ComponentAllocation(gamma=float(gammas[i]), lambda_hat=float(l), rate=rate)
+        if not lo < nxt < hi:
+            nxt = 0.5 * (lo + hi)
+            if hi - lo <= tol:
+                x = nxt
+                break
+        x = nxt
+    else:
+        raise ConvergenceError(
+            "perfect-perception multiplier iteration budget exhausted",
+            iterations=_P0_MAX_ITER, nu1=math.exp(x),
         )
+    nu1 = math.exp(x)
+    z = (4.0 * nu1) * lam
+    h = np.hypot(1.0, z)
+    gammas = perfect_perception_gamma(lam, nu1)
+    # log1p form of (1/2) log((1+h)/2) survives rates far below 1e-16
+    rates = 0.5 * np.log1p(z * z / (2.0 * (1.0 + h)))
+    achieved = distortion(z, h)
     resid = kkt_residuals(
         lam, gammas, lam.copy(), nu1, math.inf, PerceptionMetric.W2, D, 0.0
     ).max_abs()
     return RdpSolution(
-        total_rate=float(sum(a.rate for a in allocations)),
-        allocations=tuple(allocations),
+        total_rate=float(rates.sum()),
+        allocations=_allocations(gammas, lam, rates),
         dual=DualPoint(nu1=nu1, nu2=math.inf),
         case_tag=SolutionCase.BOTH_ACTIVE,
         kkt_residual=resid,
@@ -400,9 +434,9 @@ def solve_perfect_perception(
     """Rate under a perception budget of exactly zero.
 
     Every reconstruction variance is pinned to its source variance, leaving
-    a single multiplier found by bisection on the distortion equation. For
-    ``D >= 2*sum(lambdas)`` (the zero-rate ceiling) a rate-zero solution is
-    returned, flagged ``DistortionInactive``.
+    a single multiplier found by a Newton iteration on the distortion
+    equation. For ``D >= 2*sum(lambdas)`` (the zero-rate ceiling) a rate-zero
+    solution is returned, flagged ``DistortionInactive``.
 
     Raises
     ------

@@ -173,6 +173,19 @@ def test_perfect_perception_near_ceiling_underflow():
     assert abs(sol.total_rate / est - 1.0) < 1e-3
 
 
+def test_perfect_perception_near_ceiling_accuracy():
+    # within 1e-9 of the ceiling the rate follows the second-order law to
+    # rounding, once the shortfall from the ceiling is solved for directly
+    for lams in ((1.0,), (3.0, 2.0, 5.0, 4.0, 1.0)):
+        s = spectrum(*lams)
+        for eps_rel in (1e-9, 1e-11):
+            D = (1.0 - eps_rel) * 2.0 * s.total_variance
+            eps = 2.0 * s.total_variance - D
+            sol = solver.solve_perfect_perception(s, D)
+            est, _ = solver.high_distortion_p0_estimate(s, eps)
+            assert abs(sol.total_rate / est - 1.0) < 1e-9
+
+
 def test_scalar_p0_reduces_to_classic_rd():
     lam = 2.0
     s = spectrum(lam)
@@ -355,3 +368,46 @@ def test_convergence_error_carries_diagnostics():
     diag = info.value.diagnostics
     for key in ("iterations", "nu1", "nu2", "slack_distortion", "slack_perception"):
         assert key in diag
+
+
+def wide_fuzz_queries(count):
+    """The first ``count`` queries of the wide-range fuzz recipe.
+
+    L uniform in [1, 11]; eigenvalues log-uniform over a spread of up to
+    1e8 times a scale log-uniform in [1e-4, 1e4]; D/tr log-uniform in
+    [1e-6, 2]; P = 0 with probability 0.1, else log-uniform in [1e-8, 10]
+    (times tr for W2); KL and W2 alternate.
+    """
+    rng = np.random.default_rng(1)
+    out = []
+    for i in range(count):
+        dim = int(rng.integers(1, 12))
+        spread = 10.0 ** rng.uniform(0.0, 8.0)
+        scale = 10.0 ** rng.uniform(-4.0, 4.0)
+        lam = scale * np.exp(rng.uniform(0.0, math.log(spread), dim))
+        tr = float(lam.sum())
+        D = tr * 10.0 ** rng.uniform(-6.0, math.log10(2.0))
+        metric = PerceptionMetric.KL if i % 2 == 0 else PerceptionMetric.W2
+        if rng.uniform() < 0.1:
+            P = 0.0
+        else:
+            P = 10.0 ** rng.uniform(-8.0, 1.0)
+            if metric is PerceptionMetric.W2:
+                P *= tr
+        out.append((lam, D, P, metric))
+    return out
+
+
+WIDE_QUERIES = wide_fuzz_queries(30)
+
+
+@pytest.mark.parametrize(
+    "query", WIDE_QUERIES, ids=[f"q{i}" for i in range(len(WIDE_QUERIES))]
+)
+def test_wide_range_queries_meet_their_budgets(query):
+    # scales from 1e-4 to 1e12 and budgets down to 1e-8: each query must
+    # return, and meet D and P to 1e-6 of that budget itself
+    lam, D, P, metric = query
+    sol = solver.solve(SourceSpectrum(lam), TradeoffQuery(D, P, metric))
+    assert sol.achieved_distortion <= D * (1.0 + 1e-6)
+    assert sol.achieved_perception <= P * (1.0 + 1e-6)
