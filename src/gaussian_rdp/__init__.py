@@ -15,7 +15,6 @@ from .errors import (
     DimensionZeroError,
     DomainError,
     DualDegenerateError,
-    InfeasibleQueryError,
     InfeasibleSeedError,
     LineSearchError,
     NonPositiveDistortionError,
@@ -80,7 +79,6 @@ __all__ = [
     "DualDegenerateError",
     "DualPoint",
     "EigenDecomposition",
-    "InfeasibleQueryError",
     "InfeasibleSeedError",
     "JointGaussianPair",
     "KktResiduals",

@@ -45,7 +45,6 @@ from . import __version__
 from .errors import (
     ConvergenceError,
     DomainError,
-    InfeasibleQueryError,
     LineSearchError,
     NonPositiveDistortionError,
     OutOfRangeError,
@@ -324,7 +323,7 @@ def run_curve(cfg: RunConfig) -> CurveSweep:
             return None, None, "infeasible"
         try:
             return q, solve(s, q, cfg.solver), None
-        except (InfeasibleQueryError, OutOfRangeError):
+        except OutOfRangeError:
             return q, None, "infeasible"
         except (ConvergenceError, LineSearchError):
             return q, None, "convergence_failure"
@@ -529,12 +528,15 @@ def run_verify(cfg: RunConfig) -> dict:
         # rates are nonnegative, so a zero-rate solution is optimal by
         # inspection and the barrier run would add nothing
         oracle_rate = 0.0
+        oracle_steps = 0
         oracle_method = "trivial_zero_rate"
-    elif q.perception_budget == 0.0:
-        oracle_rate = minimize_primal_p0(s, q.distortion_budget).rate
-        oracle_method = "barrier"
     else:
-        oracle_rate = minimize_primal(s, q).rate
+        if q.perception_budget == 0.0:
+            res = minimize_primal_p0(s, q.distortion_budget)
+        else:
+            res = minimize_primal(s, q)
+        oracle_rate = res.rate
+        oracle_steps = res.newton_steps
         oracle_method = "barrier"
     diff = abs(sol.total_rate - oracle_rate)
     rate_tol = max(1e-4, 1e-3 * sol.total_rate)
@@ -559,6 +561,7 @@ def run_verify(cfg: RunConfig) -> dict:
         "solver_rate_nats": sol.total_rate,
         "oracle_rate_nats": oracle_rate,
         "oracle_method": oracle_method,
+        "oracle_newton_steps": oracle_steps,
         "rate_abs_diff": diff,
         "rate_tolerance": rate_tol,
         "kkt_residual": sol.kkt_residual,
@@ -705,7 +708,7 @@ def main(argv: list[str] | None = None) -> int:
     except CliInputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (InfeasibleQueryError, OutOfRangeError) as exc:
+    except OutOfRangeError as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
         return 2
     except (ConvergenceError, LineSearchError) as exc:

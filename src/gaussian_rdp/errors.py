@@ -18,8 +18,6 @@ __all__ = [
     "DualDegenerateError",
     "NonPositiveDistortionError",
     "OutOfRangeError",
-    "InfeasibleQueryError",
-    "InfeasiblePerceptionError",
     "ConvergenceError",
     "LineSearchError",
     "InfeasibleSeedError",
@@ -60,19 +58,6 @@ class NonPositiveDistortionError(DomainError):
 
 class OutOfRangeError(DomainError):
     """A scalar argument lies outside its admissible interval."""
-
-
-class InfeasibleQueryError(RdpError):
-    """No admissible reconstruction satisfies the requested budgets."""
-
-
-class InfeasiblePerceptionError(InfeasibleQueryError):
-    """The perception budget cannot be met at any reconstruction variance.
-
-    Unreachable for valid inputs: matching the source variance exactly
-    drives both divergences to zero. Kept so callers can write exhaustive
-    handlers.
-    """
 
 
 class ConvergenceError(RdpError, RuntimeError):

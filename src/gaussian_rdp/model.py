@@ -279,12 +279,6 @@ def from_covariance(m: SymMatrix | np.ndarray, tol: float | None = None) -> Sour
     return SourceSpectrum(lambdas=stripped.eigenvalues, basis=stripped.basis)
 
 
-def _kl_term(lam: float, lam_hat: float) -> float:
-    if lam_hat == 0.0:
-        return math.inf
-    return 0.5 * (lam_hat / lam - 1.0 + math.log(lam / lam_hat))
-
-
 def zero_rate_reconstruction(
     s: SourceSpectrum, metric: PerceptionMetric, P: float
 ) -> tuple[np.ndarray, float]:
@@ -317,9 +311,14 @@ def zero_rate_reconstruction(
         mu = math.exp(log_mu)
         return lam * (mu / (mu + 2.0 * lam))
 
+    log_two_lam = np.log(2.0 * lam)
+
     def excess(log_mu: float) -> float:
-        hats = hats_of(log_mu)
-        return sum(_kl_term(l, h) for l, h in zip(lam, hats)) - P
+        # KL = 0.5*(x - log(1 + x)) with x = lambda_hat/lambda - 1, formed
+        # without cancellation; -log(1 + x) = log(1 + 2*lambda/mu) is taken
+        # by logaddexp, which stays exact where lambda_hat << lambda
+        x = -2.0 * lam / (math.exp(log_mu) + 2.0 * lam)
+        return float(0.5 * np.sum(x + np.logaddexp(0.0, log_two_lam - log_mu))) - P
 
     # KL of the argmin is strictly decreasing in mu; expand a log bracket
     lo = hi = 0.0

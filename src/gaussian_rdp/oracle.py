@@ -14,6 +14,14 @@ was measured first and rejected: the barrier Hessian's condition number
 grows like the inverse barrier weight, and descent stalls around 1e-3
 nats of the optimum at desk scale, far off the certificate.
 
+A stage ends when the squared Newton decrement ``-grad @ direction``
+reaches 1e-12 (Boyd & Vandenberghe, *Convex Optimization*, sections 9.5
+and 11.3).  The decrement is affine-invariant, so the stopping point, the
+number of steps and the rate do not depend on the units of the source.
+The gradient norm it replaces grows like the inverse water level: on
+near-singular spectra a fixed tolerance on it could not be met, and such
+stages ran to their step cap inside rounding noise.
+
 This module shares no iterate machinery with the dual search: it never
 forms multipliers, never uses the stationary-point maps, and touches the
 same ground truth only through the distortion and perception formulas.
@@ -50,7 +58,7 @@ MU_SHRINK = 0.1
 _ARMIJO_C = 1e-4
 _MAX_BACKTRACKS = 60
 _MAX_STAGE_ITERATIONS = 120
-_GRAD_TOL = 1e-6
+_DECREMENT_TOL = 1e-12
 _SEED_HALVINGS = 20
 
 
@@ -76,12 +84,16 @@ class PrimalPoint:
 
 @dataclass(frozen=True)
 class OracleResult:
-    """Outcome of a barrier minimization."""
+    """Outcome of a barrier minimization.
+
+    ``newton_steps`` counts the steps accepted over all barrier stages.
+    """
 
     rate: float
     point: PrimalPoint
     barrier_mu_final: float
     gradient_norm_final: float
+    newton_steps: int
 
 
 def _distortion_terms(lam, gammas, hats):
@@ -215,13 +227,18 @@ class _BarrierProblem:
 
 
 def _minimize_stage(problem: _BarrierProblem, x, mu: float):
-    """Drive the stage gradient below tolerance, returning (x, grad_norm)."""
+    """Center one barrier stage, returning (x, max|grad|, steps taken).
+
+    The stage ends when the squared Newton decrement ``-grad @ direction``
+    falls to ``_DECREMENT_TOL``.  Scaling the variances by c scales the
+    gradient by 1/c and the Newton step by c, so their product, twice the
+    decrease the Newton model predicts, is free of units.  The test on
+    ``max|grad|`` it replaces carried the units of ``1/gamma``: on
+    near-singular spectra it could not be met before the step cap.
+    """
     value = problem.value(x, mu)
-    for _ in range(_MAX_STAGE_ITERATIONS):
+    for steps in range(_MAX_STAGE_ITERATIONS):
         grad = problem.gradient(x, mu)
-        gnorm = float(np.max(np.abs(grad)))
-        if gnorm <= _GRAD_TOL:
-            return x, gnorm
         direction = None
         try:
             direction = np.linalg.solve(problem.hessian(x, mu), -grad)
@@ -232,6 +249,9 @@ def _minimize_stage(problem: _BarrierProblem, x, mu: float):
         ):
             direction = -grad
         slope = float(grad @ direction)
+        gnorm = float(np.max(np.abs(grad)))
+        if -slope <= _DECREMENT_TOL:
+            return x, gnorm, steps
         t = 1.0
         for _ in range(_MAX_BACKTRACKS):
             cand = x + t * direction
@@ -244,14 +264,15 @@ def _minimize_stage(problem: _BarrierProblem, x, mu: float):
             # no representable improving step; accept if the residual force
             # is already at the barrier's floating-point noise floor
             if gnorm <= 1e-2:
-                return x, gnorm
+                return x, gnorm, steps
             raise LineSearchError(
                 "barrier stage stalled",
                 barrier_mu=mu,
                 gradient_norm=gnorm,
+                newton_decrement_sq=-slope,
             )
     grad = problem.gradient(x, mu)
-    return x, float(np.max(np.abs(grad)))
+    return x, float(np.max(np.abs(grad))), _MAX_STAGE_ITERATIONS
 
 
 def _probe_seed(problem: _BarrierProblem, x0):
@@ -271,13 +292,14 @@ def _probe_seed(problem: _BarrierProblem, x0):
 
 def _run_barrier(problem: _BarrierProblem, x):
     mu = MU_INITIAL
-    gnorm = math.inf
+    newton_steps = 0
     while True:
-        x, gnorm = _minimize_stage(problem, x, mu)
+        x, gnorm, steps = _minimize_stage(problem, x, mu)
+        newton_steps += steps
         if mu <= MU_FINAL * (1.0 + 1e-12):
             break
         mu = max(mu * MU_SHRINK, MU_FINAL)
-    return x, mu, gnorm
+    return x, mu, gnorm, newton_steps
 
 
 def minimize_primal(
@@ -294,7 +316,8 @@ def minimize_primal(
     InfeasibleSeedError
         If deterministic probing finds no strictly interior start.
     LineSearchError
-        If a barrier stage stalls before reaching its gradient tolerance.
+        If a barrier stage stalls before its Newton decrement falls to
+        tolerance.
     """
     if q.perception_budget == 0.0:
         raise DomainError(
@@ -308,13 +331,14 @@ def minimize_primal(
     else:
         x0 = np.concatenate([0.5 * s.lambdas, s.lambdas.copy()])
     x = _probe_seed(problem, x0)
-    x, mu, gnorm = _run_barrier(problem, x)
+    x, mu, gnorm, steps = _run_barrier(problem, x)
     gammas, hats = problem.split(x)
     return OracleResult(
         rate=problem.objective(x),
         point=PrimalPoint(gammas=gammas, lambda_hats=hats),
         barrier_mu_final=mu,
         gradient_norm_final=gnorm,
+        newton_steps=steps,
     )
 
 
@@ -337,12 +361,13 @@ def minimize_primal_p0(s: SourceSpectrum, D: float) -> OracleResult:
         )
     problem = _PinnedBarrierProblem(s, D)
     x = _probe_seed_pinned(problem, 0.5 * s.lambdas)
-    x, mu, gnorm = _run_barrier(problem, x)
+    x, mu, gnorm, steps = _run_barrier(problem, x)
     return OracleResult(
         rate=problem.objective(x),
         point=PrimalPoint(gammas=x, lambda_hats=s.lambdas.copy()),
         barrier_mu_final=mu,
         gradient_norm_final=gnorm,
+        newton_steps=steps,
     )
 
 

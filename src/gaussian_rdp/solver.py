@@ -335,13 +335,11 @@ def solve(
         return _waterfill_with_metric(s, metric, D, P, rd)
 
     if P == 0.0:
-        return _perfect_perception_interior(s, D, cfg)
+        return _perfect_perception_interior(s, D)
     return _dual_search(s, metric, D, P, cfg)
 
 
-def _perfect_perception_interior(
-    s: SourceSpectrum, D: float, cfg: SolverConfig
-) -> RdpSolution:
+def _perfect_perception_interior(s: SourceSpectrum, D: float) -> RdpSolution:
     """Solve the single multiplier of the pinned-variance problem.
 
     With ``z = 4*nu1*lam`` and ``h = hypot(1, z)`` a component's distortion
@@ -436,20 +434,20 @@ def solve_perfect_perception(
     Every reconstruction variance is pinned to its source variance, leaving
     a single multiplier found by a Newton iteration on the distortion
     equation. For ``D >= 2*sum(lambdas)`` (the zero-rate ceiling) a rate-zero
-    solution is returned, flagged ``DistortionInactive``.
+    solution is returned, flagged ``DistortionInactive``.  The search has
+    no tolerance to tune, so ``cfg`` is accepted for a signature shared
+    with :func:`solve` and otherwise ignored.
 
     Raises
     ------
     OutOfRangeError
         If ``D <= 0`` or ``D`` is not finite.
     """
-    if cfg is None:
-        cfg = SolverConfig()
     if not (D > 0.0) or not math.isfinite(D):
         raise OutOfRangeError(f"distortion budget must be positive and finite, got {D!r}")
     if D >= 2.0 * s.total_variance:
         return _zero_rate_solution(s, PerceptionMetric.W2, D, 0.0)
-    return _perfect_perception_interior(s, D, cfg)
+    return _perfect_perception_interior(s, D)
 
 
 def high_distortion_p0_estimate(

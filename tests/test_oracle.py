@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from gaussian_rdp import oracle, solver
+from gaussian_rdp.cli import RunConfig, run_verify
 from gaussian_rdp.errors import DomainError, InfeasibleSeedError, OutOfRangeError
 from gaussian_rdp.kernels import (
     distortion_component,
@@ -263,3 +264,51 @@ def test_oracle_matches_dual_solver_random():
         res = oracle.minimize_primal(s, q)
         ref = solver.solve(s, q)
         assert abs(res.rate - ref.total_rate) <= max(1e-4, 1e-3 * ref.total_rate)
+
+
+def _scaled_oracle_run(kind, c):
+    lam = c * np.geomspace(1.0, 1e-3, 5)
+    s = SourceSpectrum(lam)
+    D = 0.3 * s.total_variance
+    if kind == "p0":
+        return oracle.minimize_primal_p0(s, D)
+    if kind == "kl":
+        return oracle.minimize_primal(s, TradeoffQuery(D, 0.05, PerceptionMetric.KL))
+    return oracle.minimize_primal(
+        s, TradeoffQuery(D, 0.05 * s.total_variance, PerceptionMetric.W2)
+    )
+
+
+@pytest.mark.parametrize("kind", ["kl", "w2", "p0"])
+def test_scaling_the_source_leaves_the_barrier_run_unchanged(kind):
+    # lam, D and the W2 budget scale together (a KL budget is unitless), so
+    # the barrier iterates scale with the source: the rate and the number
+    # of Newton steps must not depend on the units
+    runs = [_scaled_oracle_run(kind, c) for c in (1e-3, 1.0, 1e3)]
+    rates = [r.rate for r in runs]
+    assert max(rates) - min(rates) <= 1e-9
+    assert len({r.newton_steps for r in runs}) == 1
+
+
+def test_verify_reports_oracle_newton_steps():
+    cfg = RunConfig(
+        lambdas=(2.0, 1.0),
+        covariance_path=None,
+        metric=PerceptionMetric.KL,
+        distortion=1.0,
+        perception=0.05,
+        samples=1000,
+    )
+    direct = oracle.minimize_primal(
+        spectrum(2.0, 1.0), TradeoffQuery(1.0, 0.05, PerceptionMetric.KL)
+    )
+    assert run_verify(cfg)["oracle_newton_steps"] == direct.newton_steps > 0
+    trivial = RunConfig(
+        lambdas=(1.0,),
+        covariance_path=None,
+        metric=PerceptionMetric.KL,
+        distortion=5.0,
+        perception=0.0,
+        samples=1000,
+    )
+    assert run_verify(trivial)["oracle_newton_steps"] == 0
