@@ -54,8 +54,8 @@ def main():
     rdp = solve(s, TradeoffQuery(d, 0.05, PerceptionMetric.KL))
     print(f"\nwater levels at D = {d:g}:")
     print("  component        ", "  ".join(f"{l:>7g}" for l in LAMBDAS))
-    print("  classic RD       ", "  ".join(f"{a.gamma:>7.4f}" for a in rd.allocations))
-    print("  with P = 0.05    ", "  ".join(f"{a.gamma:>7.4f}" for a in rdp.allocations))
+    print("  classic RD       ", "  ".join(f"{g:>7.4f}" for g in rd.gammas))
+    print("  with P = 0.05    ", "  ".join(f"{g:>7.4f}" for g in rdp.gammas))
     print("\nunder a binding perception budget every component keeps a positive")
     print("rate, so the levels spread apart instead of sitting at one height.")
 

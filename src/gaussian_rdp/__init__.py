@@ -24,7 +24,6 @@ from .errors import (
     RdpError,
 )
 from .model import (
-    ComponentAllocation,
     CurveSweep,
     DualPoint,
     KktResiduals,
@@ -71,7 +70,6 @@ from .montecarlo import (
 
 __all__ = [
     "AllComponentsNullError",
-    "ComponentAllocation",
     "ConvergenceError",
     "CurveSweep",
     "DimensionZeroError",

@@ -8,6 +8,10 @@ The defining equation ``sum(max(lambda - nu, 0)) = max(sum(lambda) - D, 0)``
 is piecewise linear in ``nu``, so the level is found by an exact breakpoint
 scan rather than iteration, and the two asymptotic laws (high-distortion and
 low-distortion expansions of the rate) are provided as reference estimates.
+
+Every solution in the package, with or without a perception budget, is
+built by :func:`assemble` from its water levels, gaps and reconstruction
+variances; the solver's paths differ only in how they find those arrays.
 """
 
 from __future__ import annotations
@@ -18,9 +22,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NonPositiveDistortionError, DomainError
+from .kernels import distortion_terms, perception_terms, rate_terms
 from .kkt import residuals as kkt_residuals
 from .model import (
-    ComponentAllocation,
     DualPoint,
     PerceptionMetric,
     RdpSolution,
@@ -32,6 +36,8 @@ __all__ = [
     "WaterLevel",
     "water_level",
     "reverse_waterfill",
+    "waterfill_solution",
+    "assemble",
     "high_distortion_rd_estimate",
     "low_distortion_rd_estimate",
 ]
@@ -83,37 +89,62 @@ def water_level(s: SourceSpectrum, D: float) -> WaterLevel:
     return WaterLevel(nu=nu, per_component=np.minimum(nu, lam))
 
 
+def assemble(
+    lam: np.ndarray, gammas: np.ndarray, gaps: np.ndarray, lambda_hats: np.ndarray,
+    nu1: float, nu2: float, metric: PerceptionMetric, D: float, P: float,
+    case: SolutionCase,
+) -> RdpSolution:
+    """Build the solution of an allocation, with its rates and certificate.
+
+    ``gaps`` is ``lam - gammas`` in the cancellation-free form of the path
+    that found the allocation.  The rates come from the gaps
+    (:func:`kernels.rate_terms`), and the KKT certificate from the same
+    rates, exactly as :func:`kkt.solution_residuals` recomputes it.
+    """
+    rates = rate_terms(lam, gammas, gaps)
+    resid = kkt_residuals(
+        lam, gammas, lambda_hats, nu1, nu2, metric, D, P, rates=rates
+    ).max_abs()
+    return RdpSolution(
+        total_rate=float(rates.sum()),
+        gammas=gammas,
+        lambda_hats=lambda_hats,
+        rates=rates,
+        dual=DualPoint(nu1=nu1, nu2=nu2),
+        case_tag=case,
+        kkt_residual=resid,
+        achieved_distortion=float(distortion_terms(gammas, gaps, lambda_hats).sum()),
+        achieved_perception=float(perception_terms(lam, lambda_hats, metric).sum()),
+    )
+
+
+def waterfill_solution(
+    s: SourceSpectrum, D: float, w: WaterLevel, metric: PerceptionMetric, P: float
+) -> RdpSolution:
+    """The water-filling allocation at level ``w``, certified for a metric.
+
+    Each component is assigned water level ``min(nu, lambda)`` and
+    reconstruction variance ``lambda - gamma``, which is also its gap.
+    """
+    lam = s.lambdas
+    gaps = lam - w.per_component
+    # slack distortion constraint (D beyond total variance) forces nu1 = 0
+    nu1 = 0.0 if D >= s.total_variance else 1.0 / (2.0 * w.nu)
+    return assemble(
+        lam, w.per_component, gaps, gaps, nu1, 0.0, metric, D, P,
+        SolutionCase.DISTORTION_ONLY,
+    )
+
+
 def reverse_waterfill(s: SourceSpectrum, D: float) -> RdpSolution:
     """Rate-distortion solution with no perception budget.
 
-    Each component is assigned water level ``min(nu, lambda)``,
-    reconstruction variance ``lambda - gamma``, and rate
-    ``0.5*log(lambda/gamma)``. The solution's ``achieved_perception`` is NaN:
-    no perception metric is part of this problem.
+    Each component gets rate ``0.5*log(lambda/min(nu, lambda))``.  The
+    solution's ``achieved_perception`` is NaN: no perception metric is part
+    of this problem.
     """
-    w = water_level(s, D)
-    lam = s.lambdas
-    gammas = w.per_component
-    hats = lam - gammas
-    allocations = []
-    for l, g, h in zip(lam, gammas, hats):
-        rate = 0.5 * math.log(l / g) if g < l else 0.0
-        allocations.append(ComponentAllocation(gamma=float(g), lambda_hat=float(h), rate=rate))
-    total_rate = float(sum(a.rate for a in allocations))
-    achieved = float(np.sum(gammas))
-    # slack distortion constraint (D beyond total variance) forces nu1 = 0
-    nu1 = 0.0 if D >= s.total_variance else 1.0 / (2.0 * w.nu)
-    resid = kkt_residuals(
-        lam, gammas, hats, nu1, 0.0, PerceptionMetric.UNCONSTRAINED, D, math.inf
-    ).max_abs()
-    return RdpSolution(
-        total_rate=total_rate,
-        allocations=tuple(allocations),
-        dual=DualPoint(nu1=nu1, nu2=0.0),
-        case_tag=SolutionCase.DISTORTION_ONLY,
-        kkt_residual=resid,
-        achieved_distortion=achieved,
-        achieved_perception=math.nan,
+    return waterfill_solution(
+        s, D, water_level(s, D), PerceptionMetric.UNCONSTRAINED, math.inf
     )
 
 

@@ -52,7 +52,6 @@ from .errors import (
 )
 from .model import (
     CurveSweep,
-    ComponentAllocation,
     DualPoint,
     PerceptionMetric,
     RdpSolution,
@@ -275,9 +274,9 @@ def solution_record(
         "metric": metric.value,
         f"rate_{unit}": sol.total_rate * f,
         "case_tag": sol.case_tag.value,
-        "gammas": [a.gamma for a in sol.allocations],
-        "lambda_hats": [a.lambda_hat for a in sol.allocations],
-        "component_rates": [a.rate * f for a in sol.allocations],
+        "gammas": sol.gammas.tolist(),
+        "lambda_hats": sol.lambda_hats.tolist(),
+        "component_rates": [r * f for r in sol.rates.tolist()],
         "nu1": sol.dual.nu1,
         "nu2": sol.dual.nu2,
         "kkt_residual": sol.kkt_residual,
@@ -365,7 +364,7 @@ def curve_to_csv(sweep: CurveSweep, unit: str = "nats") -> str:
     dim = len(sweep.metadata.get("source", "").split())
     for sol in sweep.solutions:
         if sol is not None:
-            dim = len(sol.allocations)
+            dim = sol.gammas.size
             break
     f = _unit_factor(unit)
     lines = [f"# {k}: {v}" for k, v in sorted(sweep.metadata.items())]
@@ -379,9 +378,9 @@ def curve_to_csv(sweep: CurveSweep, unit: str = "nats") -> str:
         else:
             row.append(_fmt(sol.total_rate * f))
             row.append(sol.case_tag.value)
-            row += [_fmt(a.gamma) for a in sol.allocations]
-            row += [_fmt(a.lambda_hat) for a in sol.allocations]
-            row += [_fmt(a.rate * f) for a in sol.allocations]
+            row += [_fmt(g) for g in sol.gammas.tolist()]
+            row += [_fmt(h) for h in sol.lambda_hats.tolist()]
+            row += [_fmt(r * f) for r in sol.rates.tolist()]
             row += [
                 _fmt(sol.dual.nu1),
                 _fmt(sol.dual.nu2),
@@ -467,14 +466,12 @@ def curve_from_csv(text: str) -> CurveSweep:
             nu1, nu2, kkt, ad, ap = (float(v) for v in row[5 + 3 * dim :])
         except ValueError as exc:
             raise CliInputError(f"data row {lineno}: {exc}") from None
-        allocations = tuple(
-            ComponentAllocation(gamma=g, lambda_hat=h, rate=r)
-            for g, h, r in zip(gammas, hats, rates)
-        )
         solutions.append(
             RdpSolution(
                 total_rate=rate,
-                allocations=allocations,
+                gammas=gammas,
+                lambda_hats=hats,
+                rates=rates,
                 dual=DualPoint(nu1=nu1, nu2=nu2),
                 case_tag=case,
                 kkt_residual=kkt,

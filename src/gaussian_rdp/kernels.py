@@ -1,4 +1,4 @@
-"""Per-component loss kernels and closed-form stationary maps.
+"""Per-component loss terms and closed-form stationary maps.
 
 For one decorrelated component of variance ``lam`` the achievable points are
 parametrized by the water level ``gamma`` (MMSE, in ``(0, lam]``) and the
@@ -9,11 +9,16 @@ reconstruction variance ``lambda_hat >= 0``:
     W2 loss     P(lambda_hat) = (sqrt(lam) - sqrt(lambda_hat))**2
     rate        0.5*log(lam/gamma)
 
+Every function here takes whole arrays of components (variances already
+validated by ``SourceSpectrum``).  The gap ``lam - gamma`` is an argument
+of its own wherever it appears: each solver path has a form of it free of
+cancellation, which the subtraction ``lam - gamma`` is not for components
+near zero rate.
+
 Given positive multipliers ``(nu1, nu2)`` for the two budgets, the inner
 minimization of ``rate + nu1*D + nu2*P`` decouples per component.  The
-stationary maps here take the whole vector of component variances (already
-validated by ``SourceSpectrum``) and return arrays of water levels and
-reconstruction variances, so that one dual evaluation is one call per map.
+stationary maps return arrays of water levels, gaps and reconstruction
+variances, so that one dual evaluation is one call per map.
 
 KL metric: ``gamma`` is the unique root in ``(0, lam)`` of
 
@@ -32,8 +37,9 @@ unique root of
     theta/(1 + (1-theta)*nu1/nu2) = sqrt(1 - theta/(2*nu1*lam))
 
 whose left side increases and right side decreases over the bracket
-``(0, min(1, 2*nu1*lam))``; then ``gamma = theta/(2*nu1)`` and
-``lambda_hat = lam/(1 + (1-theta)*nu1/nu2)^2``.  The difference of the two
+``(0, min(1, 2*nu1*lam))``; then ``gamma = theta/(2*nu1)``,
+``lambda_hat = lam/(1 + (1-theta)*nu1/nu2)^2`` and the gap is
+``theta^2*lambda_hat``.  The difference of the two
 sides is convex and increasing, so a Newton iteration started to the right
 of the root falls onto it; it runs on the whole array at once, with
 per-element brackets and a bisection step for any element whose Newton step
@@ -47,13 +53,14 @@ import sys
 
 import numpy as np
 
-from .errors import ConvergenceError, DomainError, DualDegenerateError
+from .errors import ConvergenceError, DualDegenerateError
+from .model import PerceptionMetric
 from .rootfind import bisect_root
 
 __all__ = [
-    "distortion_component",
-    "perception_component_kl",
-    "perception_component_w2",
+    "distortion_terms",
+    "perception_terms",
+    "rate_terms",
     "stationary_pair_kl",
     "stationary_pair_w2",
     "perfect_perception_gamma",
@@ -66,11 +73,6 @@ _THETA_MAX_ITER = 100
 _KL_POLISH_STEPS = 3
 
 
-def _check_lambda(lam: float) -> None:
-    if not (lam > 0.0 and math.isfinite(lam)):
-        raise DomainError(f"component variance must be positive and finite, got {lam!r}")
-
-
 def _check_duals(nu1: float, nu2: float) -> None:
     if not nu1 > 0.0 or not nu2 > 0.0:
         raise DualDegenerateError(
@@ -78,41 +80,48 @@ def _check_duals(nu1: float, nu2: float) -> None:
         )
 
 
-def distortion_component(lam: float, gamma: float, lambda_hat: float) -> float:
-    """Mean squared error of one component, ``>= 0`` for all valid inputs."""
-    _check_lambda(lam)
-    if not 0.0 < gamma <= lam:
-        raise DomainError(f"gamma must lie in (0, {lam}], got {gamma!r}")
-    if lambda_hat < 0.0 or math.isnan(lambda_hat):
-        raise DomainError(f"lambda_hat must be nonnegative, got {lambda_hat!r}")
-    return lam - 2.0 * math.sqrt(lambda_hat * max(lam - gamma, 0.0)) + lambda_hat
+def distortion_terms(gammas, gaps, lambda_hats):
+    """Mean squared error of each component, ``>= 0``.
 
-
-def perception_component_kl(lam: float, lambda_hat: float) -> float:
-    """KL divergence of the reconstruction law from the source law.
-
-    Returns ``+inf`` at ``lambda_hat = 0`` (point mass against a density),
-    which is what lets the solver reject zero-variance reconstructions
-    under any finite KL budget.  The ``x - log1p(x)`` form, with
-    ``x = lambda_hat/lam - 1``, keeps relative precision for divergences
-    far below one.
+    ``lam - 2*sqrt(lambda_hat*gap) + lambda_hat`` is evaluated as
+    ``gamma + (sqrt(lambda_hat) - sqrt(gap))**2``, a sum of two
+    nonnegative terms with none of the expanded form's cancellation at low
+    distortion.
     """
-    _check_lambda(lam)
-    if lambda_hat < 0.0 or math.isnan(lambda_hat):
-        raise DomainError(f"lambda_hat must be nonnegative, got {lambda_hat!r}")
-    if lambda_hat == 0.0:
-        return math.inf
-    x = lambda_hat / lam - 1.0
-    return 0.5 * (x - math.log1p(x))
+    d = np.sqrt(lambda_hats) - np.sqrt(gaps)
+    return gammas + d * d
 
 
-def perception_component_w2(lam: float, lambda_hat: float) -> float:
-    """Squared Wasserstein-2 distance between the two component laws."""
-    _check_lambda(lam)
-    if lambda_hat < 0.0 or math.isnan(lambda_hat):
-        raise DomainError(f"lambda_hat must be nonnegative, got {lambda_hat!r}")
-    d = math.sqrt(lam) - math.sqrt(lambda_hat)
-    return d * d
+def perception_terms(lam, lambda_hats, metric: PerceptionMetric):
+    """Divergence of each component's reconstruction law from its source law.
+
+    KL is ``+inf`` at ``lambda_hat = 0`` (point mass against a density),
+    which is what rejects zero-variance reconstructions under any finite
+    KL budget; its ``x - log1p(x)`` form, with ``x = lambda_hat/lam - 1``,
+    keeps relative precision for divergences far below one.  With no
+    metric every term is NaN.
+    """
+    if metric is PerceptionMetric.KL:
+        x = lambda_hats / lam - 1.0
+        with np.errstate(divide="ignore"):
+            return 0.5 * (x - np.log1p(x))
+    if metric is PerceptionMetric.W2:
+        d = np.sqrt(lam) - np.sqrt(lambda_hats)
+        return d * d
+    return np.full(np.shape(lambda_hats), math.nan)
+
+
+def rate_terms(lam: np.ndarray, gammas: np.ndarray, gaps: np.ndarray) -> np.ndarray:
+    """Rate ``0.5*log(lam/gamma)`` of each component, in nats.
+
+    Where the gap is at most ``lam/2`` the rate is taken from the gap as
+    ``-0.5*log1p(-gap/lam)``, which stays positive and exact to rounding
+    for a component whose water level rounds to ``lam``.
+    """
+    rates = 0.5 * np.log(lam / gammas)
+    near = gaps <= 0.5 * lam
+    rates[near] = -0.5 * np.log1p(-gaps[near] / lam[near])
+    return rates
 
 
 def _root_inside(a: float, b: np.ndarray, c: np.ndarray, lam: np.ndarray) -> np.ndarray:
@@ -133,13 +142,13 @@ def _root_inside(a: float, b: np.ndarray, c: np.ndarray, lam: np.ndarray) -> np.
 
 def stationary_pair_kl(
     lam: np.ndarray, nu1: float, nu2: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """Jointly stationary ``(gamma, lambda_hat)`` of every KL component.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Jointly stationary ``(gamma, gap, lambda_hat)`` of every KL component.
 
-    The reconstruction variance is built from the gap ``lam - gamma``,
-    taken from the gap form of the quadratic wherever the gap is at most
-    ``lam/2``, so components pinned near zero rate keep an accurate
-    ``lambda_hat`` even when the water level itself rounds to ``lam``.  May
+    The gap ``lam - gamma`` is taken from the gap form of the quadratic
+    wherever it is at most ``lam/2``, so components pinned near zero rate
+    keep an accurate gap and ``lambda_hat`` even when the water level
+    itself rounds to ``lam``.  May
     return a nonfinite or zero ``lambda_hat`` when the multipliers are
     degenerate enough to underflow the gap; callers should treat that as a
     zero-rate boundary evaluation.
@@ -181,7 +190,7 @@ def stationary_pair_kl(
             gamma[far] = g
             gap[far] = l - g
         lam_hat = gap / (4.0 * gamma * gamma * (nu1 * nu1))
-    return gamma, lam_hat
+    return gamma, gap, lam_hat
 
 
 def _theta_w2(cap: np.ndarray, u: float) -> np.ndarray:
@@ -222,8 +231,8 @@ def _theta_w2(cap: np.ndarray, u: float) -> np.ndarray:
 
 def stationary_pair_w2(
     lam: np.ndarray, nu1: float, nu2: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """Optimal (water level, reconstruction variance) of every W2 component.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Optimal (water level, gap, reconstruction variance) of every W2 component.
 
     ``theta`` is iterated until its Newton step falls below ``1e-14`` of it.
 
@@ -241,7 +250,8 @@ def stationary_pair_w2(
     with np.errstate(all="ignore"):
         theta = _theta_w2(2.0 * nu1 * lam, u)
         den = 1.0 + (1.0 - theta) * u
-        return theta / (2.0 * nu1), lam / (den * den)
+        hats = lam / (den * den)
+        return theta / (2.0 * nu1), theta * theta * hats, hats
 
 
 def perfect_perception_gamma(lam, nu1: float):

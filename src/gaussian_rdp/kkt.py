@@ -25,91 +25,58 @@ import math
 
 import numpy as np
 
-from .kernels import (
-    distortion_component,
-    perception_component_kl,
-    perception_component_w2,
-)
+from .kernels import distortion_terms, perception_terms
 from .model import KktResiduals, PerceptionMetric, RdpSolution, SourceSpectrum
 
 __all__ = ["residuals", "solution_residuals"]
 
 
-def _gamma_condition(
-    lam: float, gamma: float, lambda_hat: float, nu1: float
-) -> tuple[float, float]:
-    """Return (residual, xi) for the gamma stationarity condition."""
-    if gamma < lam:
-        ratio = math.sqrt(lambda_hat / (lam - gamma))
-        return 1.0 / (2.0 * gamma) - nu1 * ratio, 0.0
-    # saturated component: gamma = lam
-    if lambda_hat == 0.0:
-        pull = nu1  # matched vanishing, ratio -> 1
-    elif nu1 == 0.0:
-        pull = 0.0
-    else:
-        pull = math.inf
-    xi = 1.0 / (2.0 * gamma) - pull
-    return (0.0, xi) if xi >= 0.0 else (xi, 0.0)
-
-
-def _lambda_hat_condition(
-    lam: float,
-    gamma: float,
-    lambda_hat: float,
-    nu1: float,
-    nu2: float,
-    metric: PerceptionMetric,
-) -> tuple[float, float]:
-    """Return (residual, eta) for the lambda_hat stationarity condition."""
-    if math.isinf(nu2):
-        # pinned reconstruction law; the multiplier lives on that constraint
-        return 0.0, 0.0
-    if lambda_hat > 0.0:
-        base = nu1 * (1.0 - math.sqrt(max(lam - gamma, 0.0) / lambda_hat))
-        if metric is PerceptionMetric.KL:
-            base += 0.5 * nu2 * (1.0 / lam - 1.0 / lambda_hat)
-        elif metric is PerceptionMetric.W2:
-            base += nu2 * (1.0 - math.sqrt(lam / lambda_hat))
-        return base, 0.0
-    # lambda_hat = 0: the box multiplier eta absorbs any nonnegative pull
-    base = 0.0
-    if nu1 > 0.0 and gamma < lam:
-        base = -math.inf  # distortion pull toward positive variance is unbounded
-    if nu2 > 0.0 and metric is not PerceptionMetric.UNCONSTRAINED:
-        base = -math.inf  # either divergence pulls toward matched variance
-    return (0.0, base) if base >= 0.0 else (base, 0.0)
-
-
 def residuals(
-    lambdas: np.ndarray,
-    gammas: np.ndarray,
-    lambda_hats: np.ndarray,
-    nu1: float,
-    nu2: float,
-    metric: PerceptionMetric,
-    distortion_budget: float,
-    perception_budget: float,
+    lambdas: np.ndarray, gammas: np.ndarray, lambda_hats: np.ndarray,
+    nu1: float, nu2: float, metric: PerceptionMetric,
+    distortion_budget: float, perception_budget: float,
+    rates: np.ndarray | None = None,
 ) -> KktResiduals:
-    """Evaluate all first-order conditions at a candidate solution."""
-    n = len(lambdas)
-    res_g = np.zeros(n)
-    res_h = np.zeros(n)
-    xi = np.zeros(n)
-    eta = np.zeros(n)
-    dist_sum = 0.0
-    perc_sum = 0.0
-    for i in range(n):
-        lam = float(lambdas[i])
-        g = min(float(gammas[i]), lam)
-        h = float(lambda_hats[i])
-        res_g[i], xi[i] = _gamma_condition(lam, g, h, nu1)
-        res_h[i], eta[i] = _lambda_hat_condition(lam, g, h, nu1, nu2, metric)
-        dist_sum += distortion_component(lam, g, h)
-        if metric is PerceptionMetric.KL:
-            perc_sum += perception_component_kl(lam, h)
-        elif metric is PerceptionMetric.W2:
-            perc_sum += perception_component_w2(lam, h)
+    """Evaluate all first-order conditions at a candidate solution.
+
+    With ``rates`` given, the gap ``lam - gamma`` is recovered from them as
+    ``-lam*expm1(-2*rate)``, exact to rounding for a component near zero
+    rate whose water level rounds to ``lam``; otherwise it is the
+    difference ``lam - gamma``.  A component is saturated where its gap
+    is zero.
+    """
+    lam = np.asarray(lambdas, dtype=float)
+    g = np.minimum(gammas, lam)
+    h = np.asarray(lambda_hats, dtype=float)
+    gap = lam - g if rates is None else -lam * np.expm1(-2.0 * np.asarray(rates))
+    coded = gap > 0.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        res_g = 0.5 / g - nu1 * np.sqrt(h / gap)
+        # a saturated component takes the pull nu1 at matched vanishing
+        # (ratio one), none without a distortion multiplier, and an
+        # unbounded one toward a positive reconstruction variance
+        pull = np.where(h == 0.0, nu1, 0.0 if nu1 == 0.0 else math.inf)
+        xi = np.where(coded, 0.0, 0.5 / g - pull)
+        res_g = np.where(coded, res_g, np.minimum(xi, 0.0))
+        xi = np.maximum(xi, 0.0)
+        if math.isinf(nu2):
+            # pinned reconstruction law; the multiplier lives on that constraint
+            res_h = np.zeros_like(lam)
+        else:
+            res_h = nu1 * (1.0 - np.sqrt(gap / h))
+            if metric is PerceptionMetric.KL:
+                res_h += 0.5 * nu2 * (1.0 / lam - 1.0 / h)
+            elif metric is PerceptionMetric.W2:
+                res_h += nu2 * (1.0 - np.sqrt(lam / h))
+            # at lambda_hat = 0 the box multiplier eta could absorb only a
+            # nonnegative pull; the distortion's (on a coded component) and
+            # either divergence's pull toward a positive variance is -inf
+            pulled = (coded & (nu1 > 0.0)) | (
+                nu2 > 0.0 and metric is not PerceptionMetric.UNCONSTRAINED
+            )
+            res_h = np.where(h > 0.0, res_h, np.where(pulled, -math.inf, 0.0))
+    dist_sum = float(distortion_terms(g, gap, h).sum())
+    perc_sum = float(perception_terms(lam, h, metric).sum())
     comp_d = nu1 * (dist_sum - distortion_budget) if nu1 != 0.0 else 0.0
     if metric is PerceptionMetric.UNCONSTRAINED:
         comp_p = 0.0 if nu2 == 0.0 else math.inf
@@ -123,7 +90,7 @@ def residuals(
         stationarity_gamma=res_g,
         stationarity_lambda_hat=res_h,
         xi=xi,
-        eta=eta,
+        eta=np.zeros_like(lam),
         complementarity=max(abs(comp_d), abs(comp_p)),
     )
 
@@ -135,7 +102,11 @@ def solution_residuals(
     distortion_budget: float,
     perception_budget: float,
 ) -> KktResiduals:
-    """Convenience wrapper evaluating :func:`residuals` on a solution."""
+    """Evaluate :func:`residuals` on a solution, gaps taken from its rates.
+
+    This is the computation behind ``sol.kkt_residual``, which equals
+    ``max_abs()`` of the result for the solution's own query.
+    """
     return residuals(
         s.lambdas,
         sol.gammas,
@@ -145,4 +116,5 @@ def solution_residuals(
         metric,
         distortion_budget,
         perception_budget,
+        rates=sol.rates,
     )

@@ -5,9 +5,9 @@ of component variances. A query fixes a total squared-error distortion
 budget D, a perception budget P, and the perception metric (Kullback-Leibler
 divergence of the reconstruction law from the source law, squared
 Wasserstein-2 distance, or no perception constraint at all). Solutions
-allocate to each component a water level ``gamma`` (the MMSE of estimating
-the component from its reconstruction), a reconstruction variance
-``lambda_hat``, and a rate ``0.5*log(lambda/gamma)``.
+assign each component a water level ``gamma`` (the MMSE of estimating the
+component from its reconstruction), a reconstruction variance
+``lambda_hat``, and a rate ``0.5*log(lambda/gamma)``, held as arrays.
 
 Rates are stored in nats throughout; conversion to bits happens only at the
 output boundary. For perfect-perception solutions (P = 0) the perception
@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Optional
 
 import numpy as np
@@ -39,7 +39,6 @@ __all__ = [
     "SolutionCase",
     "SourceSpectrum",
     "TradeoffQuery",
-    "ComponentAllocation",
     "DualPoint",
     "RdpSolution",
     "KktResiduals",
@@ -147,23 +146,6 @@ class TradeoffQuery:
 
 
 @dataclass(frozen=True)
-class ComponentAllocation:
-    """Water level, reconstruction variance and rate of one component."""
-
-    gamma: float
-    lambda_hat: float
-    rate: float
-
-    def __post_init__(self) -> None:
-        if not (self.gamma > 0.0 and math.isfinite(self.gamma)):
-            raise DomainError(f"gamma must be positive and finite, got {self.gamma!r}")
-        if self.lambda_hat < 0.0 or math.isnan(self.lambda_hat):
-            raise DomainError(f"lambda_hat must be nonnegative, got {self.lambda_hat!r}")
-        if self.rate < 0.0 or math.isnan(self.rate):
-            raise DomainError(f"rate must be nonnegative, got {self.rate!r}")
-
-
-@dataclass(frozen=True)
 class DualPoint:
     """Multipliers of the distortion and perception constraints.
 
@@ -181,12 +163,19 @@ class DualPoint:
             raise DomainError(f"nu2 must be nonnegative, got {self.nu2!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RdpSolution:
-    """A full evaluation of the tradeoff at one query point."""
+    """A full evaluation of the tradeoff at one query point.
+
+    ``gammas``, ``lambda_hats`` and ``rates`` are read-only arrays with one
+    entry per component; solutions compare equal when every field does,
+    NaN matching NaN.
+    """
 
     total_rate: float
-    allocations: tuple[ComponentAllocation, ...]
+    gammas: np.ndarray
+    lambda_hats: np.ndarray
+    rates: np.ndarray
     dual: DualPoint
     case_tag: SolutionCase
     kkt_residual: float
@@ -194,21 +183,29 @@ class RdpSolution:
     achieved_perception: float
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "allocations", tuple(self.allocations))
+        for name in ("gammas", "lambda_hats", "rates"):
+            a = np.array(getattr(self, name), dtype=float)
+            a.setflags(write=False)
+            object.__setattr__(self, name, a)
+        if not (self.gammas.ndim == 1 and self.gammas.shape == self.lambda_hats.shape
+                == self.rates.shape):
+            raise DomainError("gammas, lambda_hats and rates must be matching vectors")
+        if not np.all((self.gammas > 0.0) & (self.gammas < math.inf)):
+            raise DomainError("every gamma must be positive and finite")
+        if not (np.all(self.lambda_hats >= 0.0) and np.all(self.rates >= 0.0)):
+            raise DomainError("lambda_hats and rates must be nonnegative")
         if self.total_rate < 0.0 or math.isnan(self.total_rate):
             raise DomainError(f"total rate must be nonnegative, got {self.total_rate!r}")
 
-    @property
-    def gammas(self) -> np.ndarray:
-        return np.array([a.gamma for a in self.allocations])
-
-    @property
-    def lambda_hats(self) -> np.ndarray:
-        return np.array([a.lambda_hat for a in self.allocations])
-
-    @property
-    def rates(self) -> np.ndarray:
-        return np.array([a.rate for a in self.allocations])
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, RdpSolution):
+            return NotImplemented
+        pairs = ((getattr(self, f.name), getattr(other, f.name)) for f in fields(self))
+        return all(
+            np.array_equal(a, b, equal_nan=True) if isinstance(a, (float, np.ndarray))
+            else a == b
+            for a, b in pairs
+        )
 
 
 @dataclass(frozen=True)

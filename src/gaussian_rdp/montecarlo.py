@@ -22,11 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, NotPsdError
-from .kernels import (
-    distortion_component,
-    perception_component_kl,
-    perception_component_w2,
-)
+from .kernels import distortion_terms, perception_terms
 from .model import PerceptionMetric, RdpSolution, SourceSpectrum
 
 __all__ = [
@@ -209,7 +205,9 @@ def sample_and_measure(
         rho_sq = (sum_zh / n) ** 2 / ((sum_z2 / n) * mean_h2)
         if rho_sq < 1.0:
             mi = -0.5 * math.log1p(-rho_sq)
-    analytic = distortion_component(pair.lam, pair.gamma, pair.lambda_hat)
+    analytic = float(
+        distortion_terms(pair.gamma, pair.lam - pair.gamma, pair.lambda_hat)
+    )
     return SampleReport(
         n_samples=n,
         empirical_distortion=mean_d,
@@ -229,8 +227,8 @@ def analytic_component_stats(pair: JointGaussianPair) -> tuple[float, float, flo
     reconstruction with ``lambda_hat = 0``.
     """
     mi = 0.5 * math.log(pair.lam / pair.gamma)
-    kl = perception_component_kl(pair.lam, pair.lambda_hat)
-    w2 = perception_component_w2(pair.lam, pair.lambda_hat)
+    kl = float(perception_terms(pair.lam, pair.lambda_hat, PerceptionMetric.KL))
+    w2 = float(perception_terms(pair.lam, pair.lambda_hat, PerceptionMetric.W2))
     return mi, kl, w2
 
 
@@ -257,15 +255,10 @@ def verify_solution(
     lam = s.lambdas
     reports = []
     analytic_total = 0.0
-    perception_total = 0.0
     for i, (l, g, h) in enumerate(zip(lam, sol.gammas, sol.lambda_hats)):
         pair = build_pair(float(l), min(float(g), float(l)), float(h))
         reports.append(sample_and_measure(pair, n, seed, stream=i))
         analytic_total += reports[-1].analytic_distortion
-        if metric is PerceptionMetric.KL:
-            perception_total += perception_component_kl(float(l), float(h))
-        elif metric is PerceptionMetric.W2:
-            perception_total += perception_component_w2(float(l), float(h))
     if abs(analytic_total - sol.achieved_distortion) > 1e-10 * max(
         1.0, sol.achieved_distortion
     ):
@@ -276,6 +269,7 @@ def verify_solution(
     if metric in (PerceptionMetric.KL, PerceptionMetric.W2) and math.isfinite(
         sol.achieved_perception
     ):
+        perception_total = float(perception_terms(lam, sol.lambda_hats, metric).sum())
         if abs(perception_total - sol.achieved_perception) > 1e-10 * max(
             1.0, sol.achieved_perception
         ):

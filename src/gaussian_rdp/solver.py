@@ -23,7 +23,9 @@ dedicated fast path that runs a bracketed Newton iteration on the log of
 the single remaining multiplier.
 
 Every dual evaluation works on the whole spectrum at once: one call to the
-array-valued stationary map of the metric, then array sums.
+array-valued stationary map of the metric, then array sums.  Each regime
+hands its water levels, gaps and reconstruction variances to the one
+assembler, :func:`classic_rd.assemble`.
 """
 
 from __future__ import annotations
@@ -33,13 +35,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .classic_rd import reverse_waterfill
+from .classic_rd import assemble, water_level, waterfill_solution
 from .errors import ConvergenceError, DomainError, LineSearchError, OutOfRangeError
-from .kernels import perfect_perception_gamma, stationary_pair_kl, stationary_pair_w2
-from .kkt import residuals as kkt_residuals
+from .kernels import (
+    distortion_terms,
+    perception_terms,
+    perfect_perception_gamma,
+    rate_terms,
+    stationary_pair_kl,
+    stationary_pair_w2,
+)
 from .model import (
-    ComponentAllocation,
-    DualPoint,
     PerceptionMetric,
     RdpSolution,
     SolutionCase,
@@ -89,68 +95,17 @@ class SolverConfig:
             raise DomainError("initial dual step must be positive")
 
 
-def _perception_sum(lam: np.ndarray, hats: np.ndarray, metric: PerceptionMetric) -> float:
-    if metric is PerceptionMetric.KL:
-        if not hats.all():
-            # a collapsed component: point mass against a density
-            return math.inf
-        # x - log1p(x) keeps relative precision for tiny divergences
-        x = hats / lam - 1.0
-        return float(0.5 * (x - np.log1p(x)).sum())
-    if metric is PerceptionMetric.W2:
-        d = np.sqrt(lam) - np.sqrt(hats)
-        return float((d * d).sum())
-    return math.nan
-
-
-def _distortion_sum(lam: np.ndarray, gammas: np.ndarray, hats: np.ndarray) -> float:
-    return float((lam - 2.0 * np.sqrt(hats * np.maximum(lam - gammas, 0.0)) + hats).sum())
-
-
-def _assemble(
-    s: SourceSpectrum,
-    gammas: np.ndarray,
-    hats: np.ndarray,
-    nu1: float,
-    nu2: float,
-    metric: PerceptionMetric,
-    D: float,
-    P: float,
-    case: SolutionCase,
-) -> RdpSolution:
-    lam = s.lambdas
-    rates = 0.5 * np.log(lam / np.minimum(gammas, lam))
-    resid = kkt_residuals(lam, gammas, hats, nu1, nu2, metric, D, P).max_abs()
-    return RdpSolution(
-        total_rate=float(rates.sum()),
-        allocations=_allocations(gammas, hats, rates),
-        dual=DualPoint(nu1=nu1, nu2=nu2),
-        case_tag=case,
-        kkt_residual=resid,
-        achieved_distortion=_distortion_sum(lam, gammas, hats),
-        achieved_perception=_perception_sum(lam, hats, metric),
-    )
-
-
-def _allocations(
-    gammas: np.ndarray, hats: np.ndarray, rates: np.ndarray
-) -> tuple[ComponentAllocation, ...]:
-    return tuple(
-        ComponentAllocation(gamma=g, lambda_hat=h, rate=r)
-        for g, h, r in zip(gammas.tolist(), hats.tolist(), rates.tolist())
-    )
-
-
 class _DualState:
     """Inner minimization at one multiplier pair: value, slacks, argmin."""
 
-    __slots__ = ("value", "slack_d", "slack_p", "gammas", "hats")
+    __slots__ = ("value", "slack_d", "slack_p", "gammas", "gaps", "hats")
 
-    def __init__(self, value, slack_d, slack_p, gammas, hats):
+    def __init__(self, value, slack_d, slack_p, gammas, gaps, hats):
         self.value = value
         self.slack_d = slack_d
         self.slack_p = slack_p
         self.gammas = gammas
+        self.gaps = gaps
         self.hats = hats
 
 
@@ -159,21 +114,22 @@ def _evaluate_dual(
     D: float, P: float,
 ) -> _DualState:
     if metric is PerceptionMetric.KL:
-        gammas, hats = stationary_pair_kl(lam, nu1, nu2)
+        gammas, gaps, hats = stationary_pair_kl(lam, nu1, nu2)
         bad = ~((hats > 0.0) & (hats < math.inf))
         if bad.any():
             # multipliers degenerate enough to underflow the interior
             # point; evaluate on the zero-rate boundary instead so the
             # dual value stays finite
             gammas[bad] = lam[bad]
+            gaps[bad] = 0.0
             hats[bad] = lam[bad] * nu2 / (nu2 + 2.0 * nu1 * lam[bad])
     else:
-        gammas, hats = stationary_pair_w2(lam, nu1, nu2)
-    rate = 0.5 * float(np.log(lam / gammas).sum())
-    dist = _distortion_sum(lam, gammas, hats)
-    perc = _perception_sum(lam, hats, metric)
+        gammas, gaps, hats = stationary_pair_w2(lam, nu1, nu2)
+    rate = float(rate_terms(lam, gammas, gaps).sum())
+    dist = float(distortion_terms(gammas, gaps, hats).sum())
+    perc = float(perception_terms(lam, hats, metric).sum())
     value = rate + nu1 * (dist - D) + nu2 * (perc - P)
-    return _DualState(value, dist - D, perc - P, gammas, hats)
+    return _DualState(value, dist - D, perc - P, gammas, gaps, hats)
 
 
 def _try_newton(
@@ -218,6 +174,13 @@ def _try_newton(
     return None
 
 
+def _search_error(cls, message: str, iterations: int, nu: np.ndarray, state: _DualState):
+    return cls(
+        message, iterations=iterations, nu1=float(nu[0]), nu2=float(nu[1]),
+        slack_distortion=float(state.slack_d), slack_perception=float(state.slack_p),
+    )
+
+
 def _dual_search(
     s: SourceSpectrum, metric: PerceptionMetric, D: float, P: float,
     cfg: SolverConfig,
@@ -254,52 +217,38 @@ def _dual_search(
                 break
             t *= 0.5
         else:
-            raise LineSearchError(
-                "dual ascent stalled before meeting the budget equations",
-                iterations=iteration,
-                nu1=float(nu[0]),
-                nu2=float(nu[1]),
-                slack_distortion=float(state.slack_d),
-                slack_perception=float(state.slack_p),
+            raise _search_error(
+                LineSearchError, "dual ascent stalled before meeting the budget equations",
+                iteration, nu, state,
             )
     else:
         if not (abs(state.slack_d) <= tol_d and abs(state.slack_p) <= tol_p):
-            raise ConvergenceError(
-                "dual search exhausted its iteration budget",
-                iterations=cfg.max_dual_iterations,
-                nu1=float(nu[0]),
-                nu2=float(nu[1]),
-                slack_distortion=float(state.slack_d),
-                slack_perception=float(state.slack_p),
+            raise _search_error(
+                ConvergenceError, "dual search exhausted its iteration budget",
+                cfg.max_dual_iterations, nu, state,
             )
-    assert np.all(state.gammas < lam), "active case must keep every rate positive"
-    return _assemble(
-        s, state.gammas, state.hats, float(nu[0]), float(nu[1]),
+    if not np.all(state.gaps > 0.0):
+        raise _search_error(
+            ConvergenceError, "dual search ended on a component at zero rate",
+            iteration, nu, state,
+        )
+    return assemble(
+        lam, state.gammas, state.gaps, state.hats, float(nu[0]), float(nu[1]),
         metric, D, P, SolutionCase.BOTH_ACTIVE,
     )
 
 
 def _zero_rate_solution(
-    s: SourceSpectrum, metric: PerceptionMetric, D: float, P: float
+    s: SourceSpectrum, hats: np.ndarray, metric: PerceptionMetric, D: float, P: float
 ) -> RdpSolution:
-    hats, _ = zero_rate_reconstruction(s, metric, P)
     # the rate objective is flat at zero here, so zero multipliers certify
     # optimality; an exactly-zero perception budget keeps the pinned-variance
     # convention nu2 = +inf instead
     nu2 = math.inf if P == 0.0 else 0.0
-    return _assemble(
-        s, s.lambdas.copy(), hats, 0.0, nu2, metric, D, P,
+    lam = s.lambdas
+    return assemble(
+        lam, lam, np.zeros_like(lam), hats, 0.0, nu2, metric, D, P,
         SolutionCase.DISTORTION_INACTIVE,
-    )
-
-
-def _waterfill_with_metric(
-    s: SourceSpectrum, metric: PerceptionMetric, D: float, P: float,
-    rd_solution: RdpSolution,
-) -> RdpSolution:
-    return _assemble(
-        s, rd_solution.gammas, rd_solution.lambda_hats,
-        rd_solution.dual.nu1, 0.0, metric, D, P, SolutionCase.DISTORTION_ONLY,
     )
 
 
@@ -325,14 +274,13 @@ def solve(
 
     hats0, dist0 = zero_rate_reconstruction(s, metric, P)
     if D >= dist0:
-        return _zero_rate_solution(s, metric, D, P)
+        return _zero_rate_solution(s, hats0, metric, D, P)
 
-    rd = reverse_waterfill(s, D)
-    if metric is PerceptionMetric.UNCONSTRAINED:
-        return rd
-    induced = _perception_sum(s.lambdas, rd.lambda_hats, metric)
-    if induced <= P:
-        return _waterfill_with_metric(s, metric, D, P, rd)
+    w = water_level(s, D)
+    if metric is PerceptionMetric.UNCONSTRAINED or float(
+        perception_terms(s.lambdas, s.lambdas - w.per_component, metric).sum()
+    ) <= P:
+        return waterfill_solution(s, D, w, metric, P)
 
     if P == 0.0:
         return _perfect_perception_interior(s, D)
@@ -407,22 +355,11 @@ def _perfect_perception_interior(s: SourceSpectrum, D: float) -> RdpSolution:
         )
     nu1 = math.exp(x)
     z = (4.0 * nu1) * lam
-    h = np.hypot(1.0, z)
-    gammas = perfect_perception_gamma(lam, nu1)
-    # log1p form of (1/2) log((1+h)/2) survives rates far below 1e-16
-    rates = 0.5 * np.log1p(z * z / (2.0 * (1.0 + h)))
-    achieved = distortion(z, h)
-    resid = kkt_residuals(
-        lam, gammas, lam.copy(), nu1, math.inf, PerceptionMetric.W2, D, 0.0
-    ).max_abs()
-    return RdpSolution(
-        total_rate=float(rates.sum()),
-        allocations=_allocations(gammas, lam, rates),
-        dual=DualPoint(nu1=nu1, nu2=math.inf),
-        case_tag=SolutionCase.BOTH_ACTIVE,
-        kkt_residual=resid,
-        achieved_distortion=achieved,
-        achieved_perception=0.0,
+    # the gap lam - gamma = lam*z^2/(1+h)^2 keeps rates far below 1e-16
+    gaps = lam * (z / (1.0 + np.hypot(1.0, z))) ** 2
+    return assemble(
+        lam, perfect_perception_gamma(lam, nu1), gaps, lam, nu1, math.inf,
+        PerceptionMetric.W2, D, 0.0, SolutionCase.BOTH_ACTIVE,
     )
 
 
@@ -446,7 +383,7 @@ def solve_perfect_perception(
     if not (D > 0.0) or not math.isfinite(D):
         raise OutOfRangeError(f"distortion budget must be positive and finite, got {D!r}")
     if D >= 2.0 * s.total_variance:
-        return _zero_rate_solution(s, PerceptionMetric.W2, D, 0.0)
+        return _zero_rate_solution(s, s.lambdas, PerceptionMetric.W2, D, 0.0)
     return _perfect_perception_interior(s, D)
 
 

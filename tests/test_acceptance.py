@@ -143,9 +143,9 @@ def test_criterion_04_positive_rate_theorem():
         if sol.case_tag is not SolutionCase.BOTH_ACTIVE:
             continue
         checked += 1
-        for lam, a in zip(lams, sol.allocations):
-            assert lam - a.gamma > 1e-12 * lam
-            assert a.rate > 0.0
+        for lam, gamma, rate in zip(lams, sol.gammas, sol.rates):
+            assert lam - gamma > 1e-12 * lam
+            assert rate > 0.0
     print("criterion 4: PASS (100 BothActive instances, every component rate > 0)")
 
 
@@ -154,7 +154,7 @@ def test_criterion_05_perfect_perception_scalar():
     target = 0.5 * math.log(4.0 / 3.0)
     for metric in (PerceptionMetric.KL, PerceptionMetric.W2):
         sol = solve(s, TradeoffQuery(1.0, 0.0, metric))
-        assert abs(sol.allocations[0].gamma - 0.75) <= 1e-9
+        assert abs(sol.gammas[0] - 0.75) <= 1e-9
         assert abs(sol.total_rate - target) <= 1e-9
     print("criterion 5: PASS (gamma = 0.75, rate = half log 4/3, both metrics)")
 
@@ -187,7 +187,7 @@ def test_criterion_07_asymptotic_ratio_laws():
     est_rate, est_level = low_distortion_rd_estimate(s, eps_b)
     rd = reverse_waterfill(s, eps_b)
     assert abs(rd.total_rate - est_rate) <= 1e-12
-    assert all(abs(a.gamma - est_level) <= 1e-12 for a in rd.allocations)
+    assert all(abs(gamma - est_level) <= 1e-12 for gamma in rd.gammas)
 
     for eps_c, lo, hi in ((1e-2 * total, 0.95, 1.05), (1e-3 * total, 0.99, 1.01)):
         rate = solve_perfect_perception(s, 2.0 * total - eps_c).total_rate
@@ -218,21 +218,21 @@ def test_criterion_08_component_activation_pattern():
     near_ceiling = reverse_waterfill(s, total - 0.01)
     active = [
         i
-        for i, (lam, a) in enumerate(zip(FIG_LAMBDAS, near_ceiling.allocations))
-        if a.gamma < lam
+        for i, (lam, gamma) in enumerate(zip(FIG_LAMBDAS, near_ceiling.gammas))
+        if gamma < lam
     ]
     assert active == [2] and FIG_LAMBDAS[2] == 5.0
 
     p0_high = solve_perfect_perception(s, 2.0 * total - 0.1)
-    assert all(a.gamma < lam for lam, a in zip(FIG_LAMBDAS, p0_high.allocations))
+    assert all(gamma < lam for lam, gamma in zip(FIG_LAMBDAS, p0_high.gammas))
 
     low_rd = reverse_waterfill(s, 0.05)
-    assert all(abs(a.gamma - 0.01) <= 1e-12 for a in low_rd.allocations)
+    assert all(abs(gamma - 0.01) <= 1e-12 for gamma in low_rd.gammas)
 
     p0_low = solve_perfect_perception(s, 0.05)
     _, levels = low_distortion_p0_estimate(s, 0.05)
     dev = max(
-        abs(a.gamma - lvl) for a, lvl in zip(p0_low.allocations, levels)
+        abs(gamma - lvl) for gamma, lvl in zip(p0_low.gammas, levels)
     )
     assert dev <= 1e-4
     print(

@@ -311,7 +311,7 @@ def test_curve_high_distortion_single_active_component():
     )
     sweep = run_curve(cfg)
     sol = sweep.solutions[0]
-    active = [i for i, (l, a) in enumerate(zip(lams, sol.allocations)) if a.gamma < l]
+    active = [i for i, (l, g) in enumerate(zip(lams, sol.gammas)) if g < l]
     assert active == [2]
     assert lams[2] == 5.0
 
@@ -327,8 +327,8 @@ def test_curve_p0_high_distortion_all_components_active():
     )
     sweep = run_curve(cfg)
     sol = sweep.solutions[0]
-    assert all(a.gamma < l for l, a in zip(lams, sol.allocations))
-    assert all(a.rate > 0.0 for a in sol.allocations)
+    assert all(g < l for l, g in zip(lams, sol.gammas))
+    assert all(r > 0.0 for r in sol.rates)
 
 
 def test_verify_passing_report():

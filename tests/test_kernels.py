@@ -3,10 +3,10 @@
 High-precision reference values were produced with a 50-digit arbitrary
 precision solve of the scalar stationarity conditions and are frozen here.
 
-The library's stationary maps work on whole arrays of component variances.
-The scalar per-component maps they replaced are kept below as independent
-references: each solves one component by bisection plus a Newton polish,
-and the array maps must agree with them.
+The library's stationary maps and loss terms work on whole arrays of
+components.  The scalar per-component functions they replaced are kept
+below as independent references: each stationary map solves one component
+by bisection plus a Newton polish, and the array maps must agree with them.
 """
 
 import math
@@ -17,6 +17,7 @@ import pytest
 
 from gaussian_rdp import kernels
 from gaussian_rdp.errors import DomainError, DualDegenerateError
+from gaussian_rdp.model import PerceptionMetric
 from gaussian_rdp.rootfind import bisect_root
 
 # ---------------------------------------------------------------------------
@@ -33,6 +34,36 @@ def _check_duals(nu1, nu2):
         raise DualDegenerateError(
             f"stationary maps need strictly positive multipliers, got ({nu1!r}, {nu2!r})"
         )
+
+
+def distortion_component(lam, gamma, lambda_hat):
+    """Mean squared error of one component, ``>= 0`` for all valid inputs."""
+    _check_lambda(lam)
+    if not 0.0 < gamma <= lam:
+        raise DomainError(f"gamma must lie in (0, {lam}], got {gamma!r}")
+    if lambda_hat < 0.0 or math.isnan(lambda_hat):
+        raise DomainError(f"lambda_hat must be nonnegative, got {lambda_hat!r}")
+    return lam - 2.0 * math.sqrt(lambda_hat * max(lam - gamma, 0.0)) + lambda_hat
+
+
+def perception_component_kl(lam, lambda_hat):
+    """KL divergence of one component; ``+inf`` at ``lambda_hat = 0``."""
+    _check_lambda(lam)
+    if lambda_hat < 0.0 or math.isnan(lambda_hat):
+        raise DomainError(f"lambda_hat must be nonnegative, got {lambda_hat!r}")
+    if lambda_hat == 0.0:
+        return math.inf
+    x = lambda_hat / lam - 1.0
+    return 0.5 * (x - math.log1p(x))
+
+
+def perception_component_w2(lam, lambda_hat):
+    """Squared Wasserstein-2 distance between the two component laws."""
+    _check_lambda(lam)
+    if lambda_hat < 0.0 or math.isnan(lambda_hat):
+        raise DomainError(f"lambda_hat must be nonnegative, got {lambda_hat!r}")
+    d = math.sqrt(lam) - math.sqrt(lambda_hat)
+    return d * d
 
 
 def kl_unique_residual(lam, nu1, nu2, gamma):
@@ -115,7 +146,7 @@ def stationary_gap_kl(lam, nu1, nu2):
 
 
 def stationary_pair_kl(lam, nu1, nu2):
-    """Scalar KL ``(gamma, lambda_hat)``: gap form while the gap is <= lam/2."""
+    """Scalar KL ``(gamma, gap, lambda_hat)``: gap form while the gap is <= lam/2."""
     try:
         gap = stationary_gap_kl(lam, nu1, nu2)
     except DomainError:
@@ -127,7 +158,7 @@ def stationary_pair_kl(lam, nu1, nu2):
         gap = lam - gamma
     denom = 4.0 * gamma * gamma * nu1 * nu1
     lam_hat = gap / denom if denom > 0.0 else math.nan
-    return gamma, lam_hat
+    return gamma, gap, lam_hat
 
 
 def stationary_lambda_hat_kl(lam, gamma, nu1):
@@ -203,18 +234,28 @@ def theta_fixed_point_w2(lam, nu1, nu2):
 
 
 def stationary_pair_w2(lam, nu1, nu2):
-    """Scalar W2 ``(gamma, lambda_hat)`` from the balance root."""
+    """Scalar W2 ``(gamma, gap, lambda_hat)`` from the balance root."""
     theta = theta_fixed_point_w2(lam, nu1, nu2).theta
     gamma = theta / (2.0 * nu1)
     den = 1.0 + (1.0 - theta) * nu1 / nu2
-    return gamma, lam / (den * den)
+    lam_hat = lam / (den * den)
+    return gamma, theta * theta * lam_hat, lam_hat
 
 
 def array_pair(metric, lam, nu1, nu2):
-    """The library's array map at a single variance, as two floats."""
+    """The library's array map at a single variance, as three floats."""
     pair = kernels.stationary_pair_kl if metric == "kl" else kernels.stationary_pair_w2
-    g, h = pair(np.array([lam]), nu1, nu2)
-    return float(g[0]), float(h[0])
+    return tuple(float(a[0]) for a in pair(np.array([lam]), nu1, nu2))
+
+
+def array_terms(lam, gamma, lambda_hat):
+    """The library's array loss terms at one component: (distortion, KL, W2)."""
+    lam, gamma, lambda_hat = np.array([lam]), np.array([gamma]), np.array([lambda_hat])
+    return (
+        float(kernels.distortion_terms(gamma, lam - gamma, lambda_hat)[0]),
+        float(kernels.perception_terms(lam, lambda_hat, PerceptionMetric.KL)[0]),
+        float(kernels.perception_terms(lam, lambda_hat, PerceptionMetric.W2)[0]),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -256,38 +297,68 @@ W2_ASYM = {
 
 
 def test_distortion_component_values():
-    assert kernels.distortion_component(1.0, 0.5, 0.5) == 0.5
-    # At lambda_hat = lam - gamma the distortion equals gamma.
-    assert abs(kernels.distortion_component(2.0, 0.7, 1.3) - 0.7) < 1e-15
-    # Collapse corner: lambda_hat = 0 gives distortion lam.
-    assert kernels.distortion_component(3.0, 1.0, 0.0) == 3.0
-    # Zero-rate corner gamma = lambda_hat = lam also gives distortion lam.
-    assert abs(kernels.distortion_component(2.0, 2.0, 2.0) - 4.0) < 1e-15
+    cases = [
+        ((1.0, 0.5, 0.5), 0.5),
+        # At lambda_hat = lam - gamma the distortion equals gamma.
+        ((2.0, 0.7, 1.3), 0.7),
+        # Collapse corner: lambda_hat = 0 gives distortion lam.
+        ((3.0, 1.0, 0.0), 3.0),
+        # Zero-rate corner gamma = lambda_hat = lam gives distortion 2 lam.
+        ((2.0, 2.0, 2.0), 4.0),
+    ]
+    for args, want in cases:
+        assert abs(distortion_component(*args) - want) < 1e-15
+        assert abs(array_terms(*args)[0] - want) < 1e-15
+    assert distortion_component(1.0, 0.5, 0.5) == 0.5
+    assert distortion_component(3.0, 1.0, 0.0) == 3.0
+
+
+def test_distortion_terms_keep_low_distortion_digits():
+    # lam = 1, gamma = 1e-12, lambda_hat = gap: the distortion is gamma, which
+    # the expanded form lam - 2 sqrt(hat gap) + hat loses to cancellation
+    gamma = np.array([1e-12])
+    gap = 1.0 - gamma
+    assert kernels.distortion_terms(gamma, gap, gap)[0] == gamma[0]
 
 
 def test_distortion_component_domain():
     with pytest.raises(DomainError):
-        kernels.distortion_component(0.0, 0.5, 0.5)
+        distortion_component(0.0, 0.5, 0.5)
     with pytest.raises(DomainError):
-        kernels.distortion_component(1.0, 0.0, 0.5)
+        distortion_component(1.0, 0.0, 0.5)
     with pytest.raises(DomainError):
-        kernels.distortion_component(1.0, 1.5, 0.5)
+        distortion_component(1.0, 1.5, 0.5)
     with pytest.raises(DomainError):
-        kernels.distortion_component(1.0, 0.5, -0.1)
+        distortion_component(1.0, 0.5, -0.1)
 
 
 def test_kl_component_values():
-    assert kernels.perception_component_kl(1.0, 1.0) == 0.0
-    assert abs(
-        kernels.perception_component_kl(1.0, math.e) - (math.e - 2.0) / 2.0
-    ) < 1e-15
-    assert math.isinf(kernels.perception_component_kl(1.0, 0.0))
+    assert perception_component_kl(1.0, 1.0) == 0.0
+    assert array_terms(1.0, 0.5, 1.0)[1] == 0.0
+    want = (math.e - 2.0) / 2.0
+    assert abs(perception_component_kl(1.0, math.e) - want) < 1e-15
+    assert abs(array_terms(1.0, 0.5, math.e)[1] - want) < 1e-15
+    assert math.isinf(perception_component_kl(1.0, 0.0))
+    assert math.isinf(array_terms(1.0, 0.5, 0.0)[1])
 
 
 def test_w2_component_values():
-    assert kernels.perception_component_w2(1.0, 1.0) == 0.0
-    assert kernels.perception_component_w2(4.0, 0.0) == 4.0
-    assert abs(kernels.perception_component_w2(4.0, 1.0) - 1.0) < 1e-15
+    for lam, hat, want in ((1.0, 1.0, 0.0), (4.0, 0.0, 4.0), (4.0, 1.0, 1.0)):
+        assert abs(perception_component_w2(lam, hat) - want) < 1e-15
+        assert abs(array_terms(lam, 0.5, hat)[2] - want) < 1e-15
+
+
+def test_rate_terms_take_small_rates_from_the_gap():
+    lam = np.array([1.0, 1.0, 4.0, 1e-8])
+    gaps = np.array([0.5, 0.75, 0.0, 1.7e-26])
+    gammas = lam - gaps
+    rates = kernels.rate_terms(lam, gammas, gaps)
+    assert abs(rates[0] - 0.5 * math.log(2.0)) < 1e-16
+    assert abs(rates[1] - math.log(2.0)) < 1e-15
+    assert rates[2] == 0.0 and not math.copysign(1.0, rates[2]) < 0.0
+    # the water level rounds to lam, yet the rate is gap/(2 lam) to rounding
+    assert gammas[3] == lam[3]
+    assert abs(rates[3] / (0.5 * 1.7e-18) - 1.0) < 1e-15
 
 
 def test_kl_stationary_unit_point():
@@ -295,14 +366,14 @@ def test_kl_stationary_unit_point():
     assert abs(g - KL_UNIT["gamma"]) < 1e-14
     h = stationary_lambda_hat_kl(1.0, g, 1.0)
     assert abs(h - KL_UNIT["lambda_hat"]) < 1e-13
-    ga, ha = array_pair("kl", 1.0, 1.0, 1.0)
+    ga, _, ha = array_pair("kl", 1.0, 1.0, 1.0)
     assert abs(ga - KL_UNIT["gamma"]) < 1e-14
     assert abs(ha - KL_UNIT["lambda_hat"]) < 1e-13
     assert abs(
-        kernels.distortion_component(1.0, g, h) - KL_UNIT["distortion"]
+        distortion_component(1.0, g, h) - KL_UNIT["distortion"]
     ) < 1e-13
     assert abs(
-        kernels.perception_component_kl(1.0, h) - KL_UNIT["perception"]
+        perception_component_kl(1.0, h) - KL_UNIT["perception"]
     ) < 1e-13
 
 
@@ -311,14 +382,14 @@ def test_kl_stationary_asymmetric_point():
     assert abs(g - KL_ASYM["gamma"]) < 1e-13
     h = stationary_lambda_hat_kl(2.0, g, 0.7)
     assert abs(h - KL_ASYM["lambda_hat"]) < 1e-12
-    ga, ha = array_pair("kl", 2.0, 0.7, 0.3)
+    ga, _, ha = array_pair("kl", 2.0, 0.7, 0.3)
     assert abs(ga - KL_ASYM["gamma"]) < 1e-13
     assert abs(ha - KL_ASYM["lambda_hat"]) < 1e-12
     assert abs(
-        kernels.distortion_component(2.0, g, h) - KL_ASYM["distortion"]
+        distortion_component(2.0, g, h) - KL_ASYM["distortion"]
     ) < 1e-12
     assert abs(
-        kernels.perception_component_kl(2.0, h) - KL_ASYM["perception"]
+        perception_component_kl(2.0, h) - KL_ASYM["perception"]
     ) < 1e-13
 
 
@@ -389,28 +460,28 @@ def test_w2_theta_unit_point():
 
 
 def test_w2_pair_unit_point():
-    for g, h in (array_pair("w2", 1.0, 1.0, 1.0), stationary_pair_w2(1.0, 1.0, 1.0)):
+    for g, _, h in (array_pair("w2", 1.0, 1.0, 1.0), stationary_pair_w2(1.0, 1.0, 1.0)):
         assert abs(g - W2_UNIT["gamma"]) < 1e-14
         assert abs(h - W2_UNIT["lambda_hat"]) < 1e-13
         assert abs(
-            kernels.distortion_component(1.0, g, h) - W2_UNIT["distortion"]
+            distortion_component(1.0, g, h) - W2_UNIT["distortion"]
         ) < 1e-13
         assert abs(
-            kernels.perception_component_w2(1.0, h) - W2_UNIT["perception"]
+            perception_component_w2(1.0, h) - W2_UNIT["perception"]
         ) < 1e-13
 
 
 def test_w2_pair_asymmetric_point():
     fp = theta_fixed_point_w2(2.0, 0.7, 0.3)
     assert abs(fp.theta - W2_ASYM["theta"]) < 1e-13
-    for g, h in (array_pair("w2", 2.0, 0.7, 0.3), stationary_pair_w2(2.0, 0.7, 0.3)):
+    for g, _, h in (array_pair("w2", 2.0, 0.7, 0.3), stationary_pair_w2(2.0, 0.7, 0.3)):
         assert abs(g - W2_ASYM["gamma"]) < 1e-13
         assert abs(h - W2_ASYM["lambda_hat"]) < 1e-12
         assert abs(
-            kernels.distortion_component(2.0, g, h) - W2_ASYM["distortion"]
+            distortion_component(2.0, g, h) - W2_ASYM["distortion"]
         ) < 1e-12
         assert abs(
-            kernels.perception_component_w2(2.0, h) - W2_ASYM["perception"]
+            perception_component_w2(2.0, h) - W2_ASYM["perception"]
         ) < 1e-13
 
 
@@ -423,7 +494,7 @@ def test_w2_theta_residual_bound_holds_broadly():
         fp = theta_fixed_point_w2(lam, nu1, nu2)
         assert 0.0 < fp.theta < min(1.0, 2.0 * nu1 * lam) + 1e-15
         assert abs(fp.residual) <= 1e-12
-        g, h = array_pair("w2", lam, nu1, nu2)
+        g, _, h = array_pair("w2", lam, nu1, nu2)
         assert abs(w2_balance(lam, nu1, nu2, 2.0 * nu1 * g)) <= 1e-12
         assert 0.0 < g < lam
         assert h > 0.0
@@ -481,13 +552,9 @@ def test_array_maps_agree_with_scalar_references(metric):
     pair = kernels.stationary_pair_kl if metric == "kl" else kernels.stationary_pair_w2
     worst = 0.0
     for lam, nu1, nu2 in _pair_grid(np.random.default_rng(53), 60, 40, 3.0):
-        gammas, hats = pair(lam, nu1, nu2)
         ref = np.array([scalar(float(l), nu1, nu2) for l in lam])
-        worst = max(
-            worst,
-            float(np.max(np.abs(gammas / ref[:, 0] - 1.0))),
-            float(np.max(np.abs(hats / ref[:, 1] - 1.0))),
-        )
+        for k, got in enumerate(pair(lam, nu1, nu2)):
+            worst = max(worst, float(np.max(np.abs(got / ref[:, k] - 1.0))))
     assert worst <= 1e-13
 
 
@@ -499,7 +566,7 @@ def test_w2_map_at_extreme_multiplier_ratio():
     # correction that would still remain, relative to theta
     for lam, nu1, nu2 in _pair_grid(np.random.default_rng(59), 20, 40, 0.5):
         nu2 *= 1e-12
-        gammas, _ = kernels.stationary_pair_w2(lam, nu1, nu2)
+        gammas, _, _ = kernels.stationary_pair_w2(lam, nu1, nu2)
         for l, g in zip(lam.tolist(), gammas.tolist()):
             t = 2.0 * nu1 * g
             correction = w2_balance(l, nu1, nu2, t) / w2_balance_slope(l, nu1, nu2, t)

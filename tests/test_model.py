@@ -11,9 +11,9 @@ from gaussian_rdp.errors import (
     NonPositiveDistortionError,
 )
 from gaussian_rdp.model import (
-    ComponentAllocation,
     DualPoint,
     PerceptionMetric,
+    RdpSolution,
     SolutionCase,
     SourceSpectrum,
     TradeoffQuery,
@@ -90,15 +90,39 @@ def test_query_validation():
     assert q0.perception_budget == 0.0
 
 
+def _solution(gammas, hats, rates):
+    return RdpSolution(
+        total_rate=0.0, gammas=gammas, lambda_hats=hats, rates=rates,
+        dual=DualPoint(nu1=0.0, nu2=0.0), case_tag=SolutionCase.DISTORTION_ONLY,
+        kkt_residual=0.0, achieved_distortion=1.0, achieved_perception=0.0,
+    )
+
+
 def test_allocation_and_dual_validation():
     with pytest.raises(DomainError):
-        ComponentAllocation(gamma=0.0, lambda_hat=1.0, rate=0.0)
+        _solution([0.0], [1.0], [0.0])
     with pytest.raises(DomainError):
-        ComponentAllocation(gamma=0.5, lambda_hat=-1.0, rate=0.0)
+        _solution([0.5], [-1.0], [0.0])
+    with pytest.raises(DomainError):
+        _solution([0.5], [1.0], [-1e-3])
+    with pytest.raises(DomainError):
+        _solution([0.5, 0.5], [1.0], [0.0, 0.0])
     with pytest.raises(DomainError):
         DualPoint(nu1=math.inf, nu2=1.0)
     d = DualPoint(nu1=0.0, nu2=math.inf)
     assert math.isinf(d.nu2)
+
+
+def test_solution_arrays_are_readonly_and_compare_by_value():
+    g = np.array([0.5, 0.25])
+    sol = _solution(g, [0.5, 0.0], [0.1, 0.0])
+    g[0] = 0.4  # the solution holds its own copy
+    assert sol.gammas[0] == 0.5
+    for name in ("gammas", "lambda_hats", "rates"):
+        with pytest.raises(ValueError):
+            getattr(sol, name)[0] = 1.0
+    assert sol == _solution([0.5, 0.25], [0.5, 0.0], [0.1, 0.0])
+    assert sol != _solution([0.5, 0.25], [0.5, 0.0], [0.1, 1e-300])
 
 
 def test_zero_rate_unconstrained_collapses_to_zero():

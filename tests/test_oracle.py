@@ -14,11 +14,6 @@ import pytest
 from gaussian_rdp import oracle, solver
 from gaussian_rdp.cli import RunConfig, run_verify
 from gaussian_rdp.errors import DomainError, InfeasibleSeedError, OutOfRangeError
-from gaussian_rdp.kernels import (
-    distortion_component,
-    perception_component_kl,
-    perception_component_w2,
-)
 from gaussian_rdp.model import PerceptionMetric, SourceSpectrum, TradeoffQuery
 
 HALF_LOG_2 = 0.693147180559945309417232121458 / 2.0
@@ -27,6 +22,25 @@ HALF_LOG_4_3 = 0.143841036225890463719609502997
 
 def spectrum(*lams):
     return SourceSpectrum(np.array(lams, dtype=float))
+
+
+# scalar per-component losses, written out here so that these checks do not
+# lean on the library's own loss terms
+
+
+def distortion_component(lam, gamma, lambda_hat):
+    return lam - 2.0 * math.sqrt(lambda_hat * max(lam - gamma, 0.0)) + lambda_hat
+
+
+def perception_component_kl(lam, lambda_hat):
+    if lambda_hat == 0.0:
+        return math.inf
+    x = lambda_hat / lam - 1.0
+    return 0.5 * (x - math.log1p(x))
+
+
+def perception_component_w2(lam, lambda_hat):
+    return (math.sqrt(lam) - math.sqrt(lambda_hat)) ** 2
 
 
 def total_distortion(lam, gammas, hats):

@@ -10,8 +10,9 @@ import math
 import numpy as np
 import pytest
 
-from gaussian_rdp import solver
+from gaussian_rdp import kernels, solver
 from gaussian_rdp.classic_rd import reverse_waterfill
+from gaussian_rdp.cli import main
 from gaussian_rdp.errors import ConvergenceError, DomainError, OutOfRangeError
 from gaussian_rdp.kkt import solution_residuals
 from gaussian_rdp.model import (
@@ -411,3 +412,86 @@ def test_wide_range_queries_meet_their_budgets(query):
     sol = solver.solve(SourceSpectrum(lam), TradeoffQuery(D, P, metric))
     assert sol.achieved_distortion <= D * (1.0 + 1e-6)
     assert sol.achieved_perception <= P * (1.0 + 1e-6)
+
+
+# Spectrum of a 16 x 16 square-Wishart covariance (benchmark seed 208).
+# At the W2 query below the smallest component keeps a gap lam - gamma of
+# ~1e-26: positive, though its water level rounds to its variance.
+SPECTRUM_208 = [
+    2.8964854506463285, 2.5540674938385286, 2.213744218206299, 1.58512275656357,
+    1.4337267252712245, 1.3047931676798048, 0.9030401321073412, 0.7785159147885591,
+    0.39160295971051795, 0.2903143893194152, 0.26054687223713513, 0.1447705722734061,
+    0.08894504890290586, 0.021303170965131134, 0.007217492518163343,
+    5.054362820056077e-09,
+]
+QUERY_208 = TradeoffQuery(4.462258911024813, 0.7437098185041356, PerceptionMetric.W2)
+
+
+def test_component_near_zero_rate_keeps_a_positive_rate():
+    sol = solver.solve(SourceSpectrum(SPECTRUM_208), QUERY_208)
+    assert sol.case_tag is SolutionCase.BOTH_ACTIVE
+    assert np.all(sol.rates > 0.0)
+    assert sol.kkt_residual <= 1e-6
+
+
+def test_search_ending_on_a_zero_gap_raises_convergence_error(monkeypatch):
+    # the gap formed by subtraction reads zero where the water level rounds
+    # to the variance; the search must then fail as a convergence failure
+    # (exit code 3), by a check that no interpreter flag can skip
+    def subtracted(lam, nu1, nu2):
+        gammas, _, hats = kernels.stationary_pair_w2(lam, nu1, nu2)
+        return gammas, lam - np.minimum(gammas, lam), hats
+
+    monkeypatch.setattr(solver, "stationary_pair_w2", subtracted)
+    with pytest.raises(ConvergenceError) as info:
+        solver.solve(SourceSpectrum(SPECTRUM_208), QUERY_208)
+    assert "slack_perception" in info.value.diagnostics
+    argv = [
+        "verify", "--lambdas", ",".join(repr(v) for v in SPECTRUM_208),
+        "--metric", "w2", "--distortion", repr(QUERY_208.distortion_budget),
+        "--perception", repr(QUERY_208.perception_budget),
+    ]
+    assert main(argv) == 3
+
+
+@pytest.mark.parametrize(
+    "metric,P", [(PerceptionMetric.KL, 0.8), (PerceptionMetric.W2, 0.0)], ids=["kl", "p0"]
+)
+def test_certificate_holds_on_components_near_zero_rate(metric, P):
+    s = SourceSpectrum(SPECTRUM_208)
+    sol = solver.solve(s, TradeoffQuery(0.3 * s.total_variance, P, metric))
+    assert sol.case_tag is SolutionCase.BOTH_ACTIVE
+    assert sol.kkt_residual <= 1e-6
+
+
+def test_perfect_perception_certificate_near_ceiling():
+    sol = solver.solve_perfect_perception(spectrum(1.0), 2.0 - 2e-9)
+    assert sol.kkt_residual <= 1e-12
+
+
+FIVE = (3.0, 2.0, 5.0, 4.0, 1.0)
+SOLVE_PATHS = {
+    # name: (lambdas, D, P, metric, expected case)
+    "zero_rate_kl": ((1.0,), 2.5, 0.7, PerceptionMetric.KL, SolutionCase.DISTORTION_INACTIVE),
+    "zero_rate_p0": (FIVE, 31.0, 0.0, PerceptionMetric.W2, SolutionCase.DISTORTION_INACTIVE),
+    "waterfill": (FIVE, 7.5, math.inf, PerceptionMetric.UNCONSTRAINED,
+                  SolutionCase.DISTORTION_ONLY),
+    "waterfill_w2": ((2.0, 0.5), 1.2, 0.6, PerceptionMetric.W2, SolutionCase.DISTORTION_ONLY),
+    "dual_kl": (FIVE, 7.5, 0.1, PerceptionMetric.KL, SolutionCase.BOTH_ACTIVE),
+    "dual_w2": (FIVE, 7.5, 1.0, PerceptionMetric.W2, SolutionCase.BOTH_ACTIVE),
+    "p0_w2": (FIVE, 7.5, 0.0, PerceptionMetric.W2, SolutionCase.BOTH_ACTIVE),
+    "p0_kl": (FIVE, 0.5, 0.0, PerceptionMetric.KL, SolutionCase.BOTH_ACTIVE),
+}
+
+
+@pytest.mark.parametrize("path", list(SOLVE_PATHS))
+def test_solution_residuals_reproduce_the_certificate(path):
+    lams, D, P, metric, case = SOLVE_PATHS[path]
+    s = spectrum(*lams)
+    sol = solver.solve(s, TradeoffQuery(D, P, metric))
+    assert sol.case_tag is case
+    assert solution_residuals(s, sol, metric, D, P).max_abs() == sol.kkt_residual
+    if metric is PerceptionMetric.UNCONSTRAINED:
+        rd = reverse_waterfill(s, D)
+        assert rd == sol
+        assert solution_residuals(s, rd, metric, D, P).max_abs() == rd.kkt_residual
