@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NonPositiveDistortionError, DomainError
-from .kernels import distortion_terms, perception_terms, rate_terms
+from .kernels import distortion_terms, perception_terms, rate_gaps, rate_terms
 from .kkt import residuals as kkt_residuals
 from .model import (
     DualPoint,
@@ -103,7 +103,7 @@ def assemble(
     """
     rates = rate_terms(lam, gammas, gaps)
     resid = kkt_residuals(
-        lam, gammas, lambda_hats, nu1, nu2, metric, D, P, rates=rates
+        lam, gammas, rate_gaps(lam, rates), lambda_hats, nu1, nu2, metric, D, P
     ).max_abs()
     return RdpSolution(
         total_rate=float(rates.sum()),

@@ -61,6 +61,7 @@ __all__ = [
     "distortion_terms",
     "perception_terms",
     "rate_terms",
+    "rate_gaps",
     "stationary_pair_kl",
     "stationary_pair_w2",
     "perfect_perception_gamma",
@@ -89,7 +90,9 @@ def distortion_terms(gammas, gaps, lambda_hats):
     distortion.
     """
     d = np.sqrt(lambda_hats) - np.sqrt(gaps)
-    return gammas + d * d
+    # at a box corner the nonzero term is taken as is, not squared back
+    corner = (lambda_hats == 0.0) | (gaps == 0.0)
+    return gammas + np.where(corner, lambda_hats + gaps, d * d)
 
 
 def perception_terms(lam, lambda_hats, metric: PerceptionMetric):
@@ -122,6 +125,11 @@ def rate_terms(lam: np.ndarray, gammas: np.ndarray, gaps: np.ndarray) -> np.ndar
     near = gaps <= 0.5 * lam
     rates[near] = -0.5 * np.log1p(-gaps[near] / lam[near])
     return rates
+
+
+def rate_gaps(lam: np.ndarray, rates: np.ndarray) -> np.ndarray:
+    """Each gap ``lam - gamma`` recovered from its rate, exact near zero rate."""
+    return -lam * np.expm1(-2.0 * rates)
 
 
 def _root_inside(a: float, b: np.ndarray, c: np.ndarray, lam: np.ndarray) -> np.ndarray:

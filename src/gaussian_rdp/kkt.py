@@ -25,30 +25,27 @@ import math
 
 import numpy as np
 
-from .kernels import distortion_terms, perception_terms
+from .kernels import distortion_terms, perception_terms, rate_gaps
 from .model import KktResiduals, PerceptionMetric, RdpSolution, SourceSpectrum
 
 __all__ = ["residuals", "solution_residuals"]
 
 
 def residuals(
-    lambdas: np.ndarray, gammas: np.ndarray, lambda_hats: np.ndarray,
-    nu1: float, nu2: float, metric: PerceptionMetric,
+    lambdas: np.ndarray, gammas: np.ndarray, gaps: np.ndarray,
+    lambda_hats: np.ndarray, nu1: float, nu2: float, metric: PerceptionMetric,
     distortion_budget: float, perception_budget: float,
-    rates: np.ndarray | None = None,
 ) -> KktResiduals:
     """Evaluate all first-order conditions at a candidate solution.
 
-    With ``rates`` given, the gap ``lam - gamma`` is recovered from them as
-    ``-lam*expm1(-2*rate)``, exact to rounding for a component near zero
-    rate whose water level rounds to ``lam``; otherwise it is the
-    difference ``lam - gamma``.  A component is saturated where its gap
-    is zero.
+    ``gaps`` is ``lam - gamma`` in a form free of cancellation, such as
+    :func:`kernels.rate_gaps` of the solution's rates.  A component is
+    saturated where its gap is zero.
     """
     lam = np.asarray(lambdas, dtype=float)
     g = np.minimum(gammas, lam)
+    gap = np.asarray(gaps, dtype=float)
     h = np.asarray(lambda_hats, dtype=float)
-    gap = lam - g if rates is None else -lam * np.expm1(-2.0 * np.asarray(rates))
     coded = gap > 0.0
     with np.errstate(divide="ignore", invalid="ignore"):
         res_g = 0.5 / g - nu1 * np.sqrt(h / gap)
@@ -110,11 +107,11 @@ def solution_residuals(
     return residuals(
         s.lambdas,
         sol.gammas,
+        rate_gaps(s.lambdas, sol.rates),
         sol.lambda_hats,
         sol.dual.nu1,
         sol.dual.nu2,
         metric,
         distortion_budget,
         perception_budget,
-        rates=sol.rates,
     )

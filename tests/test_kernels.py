@@ -297,20 +297,14 @@ W2_ASYM = {
 
 
 def test_distortion_component_values():
-    cases = [
-        ((1.0, 0.5, 0.5), 0.5),
+    for dist in (distortion_component, lambda *args: array_terms(*args)[0]):
+        assert dist(1.0, 0.5, 0.5) == 0.5
         # At lambda_hat = lam - gamma the distortion equals gamma.
-        ((2.0, 0.7, 1.3), 0.7),
+        assert abs(dist(2.0, 0.7, 1.3) - 0.7) < 1e-15
         # Collapse corner: lambda_hat = 0 gives distortion lam.
-        ((3.0, 1.0, 0.0), 3.0),
+        assert dist(3.0, 1.0, 0.0) == 3.0
         # Zero-rate corner gamma = lambda_hat = lam gives distortion 2 lam.
-        ((2.0, 2.0, 2.0), 4.0),
-    ]
-    for args, want in cases:
-        assert abs(distortion_component(*args) - want) < 1e-15
-        assert abs(array_terms(*args)[0] - want) < 1e-15
-    assert distortion_component(1.0, 0.5, 0.5) == 0.5
-    assert distortion_component(3.0, 1.0, 0.0) == 3.0
+        assert abs(dist(2.0, 2.0, 2.0) - 4.0) < 1e-15
 
 
 def test_distortion_terms_keep_low_distortion_digits():
@@ -343,9 +337,10 @@ def test_kl_component_values():
 
 
 def test_w2_component_values():
-    for lam, hat, want in ((1.0, 1.0, 0.0), (4.0, 0.0, 4.0), (4.0, 1.0, 1.0)):
-        assert abs(perception_component_w2(lam, hat) - want) < 1e-15
-        assert abs(array_terms(lam, 0.5, hat)[2] - want) < 1e-15
+    for w2 in (perception_component_w2, lambda lam, hat: array_terms(lam, 0.5, hat)[2]):
+        assert w2(1.0, 1.0) == 0.0
+        assert w2(4.0, 0.0) == 4.0
+        assert abs(w2(4.0, 1.0) - 1.0) < 1e-15
 
 
 def test_rate_terms_take_small_rates_from_the_gap():
