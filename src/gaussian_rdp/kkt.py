@@ -1,20 +1,21 @@
 """First-order optimality certificates for tradeoff solutions.
 
 The per-component stationarity conditions of the rate program, with
-multipliers ``nu1`` (distortion), ``nu2`` (perception), ``xi`` (active upper
-box ``gamma = lambda``) and ``eta`` (active lower box ``lambda_hat = 0``):
+multipliers ``nu1`` (distortion), ``nu2`` (perception) and ``xi`` (active
+upper box ``gamma = lambda``):
 
     gamma:       1/(2*gamma) - nu1*sqrt(lambda_hat/(lam-gamma)) - xi = 0
     lambda_hat (KL):  nu1*(1 - sqrt((lam-gamma)/lambda_hat))
-                      + 0.5*nu2*(1/lam - 1/lambda_hat) - eta = 0
+                      + 0.5*nu2*(1/lam - 1/lambda_hat) = 0
     lambda_hat (W2):  nu1*(1 - sqrt((lam-gamma)/lambda_hat))
-                      + nu2*(1 - sqrt(lam/lambda_hat)) - eta = 0
+                      + nu2*(1 - sqrt(lam/lambda_hat)) = 0
 
 At box corners the ratios are evaluated in their matched-vanishing limit
 (``lambda_hat`` and ``lam-gamma`` reaching zero together have ratio one),
-``xi``/``eta`` are set to whatever value closes the condition, and any
-negative multiplier (a genuine violation) is reported through the residual
-instead. Perfect-perception solutions carry ``nu2 = +inf`` with
+``xi`` is set to whatever value closes the condition, and a negative
+``xi`` (a genuine violation) is reported through the residual instead.
+``lambda_hat = 0`` is stationary only where nothing pulls it toward a
+positive value. Perfect-perception solutions carry ``nu2 = +inf`` with
 ``lambda_hat`` pinned to ``lam``; the pinned condition is defined as zero
 residual and the perception equality is checked through complementarity.
 """
@@ -65,7 +66,7 @@ def residuals(
                 res_h += 0.5 * nu2 * (1.0 / lam - 1.0 / h)
             elif metric is PerceptionMetric.W2:
                 res_h += nu2 * (1.0 - np.sqrt(lam / h))
-            # at lambda_hat = 0 the box multiplier eta could absorb only a
+            # at lambda_hat = 0 a box multiplier could absorb only a
             # nonnegative pull; the distortion's (on a coded component) and
             # either divergence's pull toward a positive variance is -inf
             pulled = (coded & (nu1 > 0.0)) | (
@@ -87,7 +88,6 @@ def residuals(
         stationarity_gamma=res_g,
         stationarity_lambda_hat=res_h,
         xi=xi,
-        eta=np.zeros_like(lam),
         complementarity=max(abs(comp_d), abs(comp_p)),
     )
 

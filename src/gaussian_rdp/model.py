@@ -213,16 +213,15 @@ class KktResiduals:
     """Stationarity and complementarity residuals of a solution.
 
     ``stationarity_gamma`` and ``stationarity_lambda_hat`` are the
-    per-component residuals of the two first-order conditions with the box
-    multipliers ``xi`` (for gamma = lambda) and ``eta`` (for lambda_hat = 0)
-    substituted; ``complementarity`` is the largest complementary-slackness
-    violation across all constraints.
+    per-component residuals of the two first-order conditions, the first
+    with the box multiplier ``xi`` (for gamma = lambda) substituted;
+    ``complementarity`` is the largest complementary-slackness violation
+    across all constraints.
     """
 
     stationarity_gamma: np.ndarray
     stationarity_lambda_hat: np.ndarray
     xi: np.ndarray
-    eta: np.ndarray
     complementarity: float
 
     def max_abs(self) -> float:

@@ -12,10 +12,11 @@ A query (D, P, metric) lands in one of three regimes, checked in order:
    infinite), which forces the next regime.
 3. Both constraints active: a pair of positive multipliers (nu1, nu2) is
    sought so that the per-component stationary allocations meet both budgets
-   with equality. The concave Lagrange dual is maximized by projected
-   gradient ascent (the gradient is the pair of constraint slacks) with a
-   backtracking line search, accelerated by damped Newton steps on the
-   two-by-two slack system once they make progress.
+   with equality. The concave Lagrange dual is maximized by damped Newton
+   steps: its gradient is the pair of constraint slacks, and its Hessian is
+   taken in closed form from the allocations one dual evaluation returns.
+   A projected gradient step with a backtracking line search stands in
+   whenever a Newton step is refused.
 
 A perception budget of exactly zero pins every reconstruction variance to
 its source variance, sending nu2 to infinity; that regime is handled by a
@@ -132,23 +133,64 @@ def _evaluate_dual(
     return _DualState(value, dist - D, perc - P, gammas, gaps, hats)
 
 
+def _slack_jacobian(
+    lam: np.ndarray, nu1: float, nu2: float, state: _DualState,
+    metric: PerceptionMetric,
+) -> np.ndarray:
+    """Exact Jacobian of the slacks in (nu1, nu2): the Hessian of the dual.
+
+    Each component's ``x = (gamma, lambda_hat)`` is stationary for
+    ``-0.5*log(gamma) + nu1*d + nu2*p``, so ``dx/dnu = -H^-1 G^T`` with
+    ``H`` its Hessian and ``G`` the rows ``grad d = (1/s, 1 - s)`` and
+    ``grad p = (0, p')``, ``s = sqrt(gap/lambda_hat)``: the Jacobian is
+    ``-sum G H^-1 G^T``.  ``H = diag(a, c) + k*v*v^T`` with
+    ``a = 1/(2*gamma^2)``, ``c = nu2*p''``, ``v = (1, s^2)`` and
+    ``k = nu1/(2*lambda_hat*s^3)``; its adjugate and determinant over ``k``
+    are free of cancellation and stay finite at a zero gap, where only
+    ``lambda_hat`` responds.
+    """
+    g, gap, hat = state.gammas, state.gaps, state.hats
+    s = np.sqrt(gap / hat)
+    if metric is PerceptionMetric.KL:
+        dp = 0.5 * (1.0 / lam - 1.0 / hat)
+        c = nu2 * (0.5 / (hat * hat))
+    else:
+        r = np.sqrt(lam / hat)
+        dp = 1.0 - r
+        c = nu2 * (0.5 * r / hat)
+    a = 0.5 / (g * g)
+    # u = 1/k, and u/s^2 formed without a division, so a zero gap divides
+    # nothing
+    u_s2 = (2.0 / nu1) * hat * s
+    u = u_s2 * s * s
+    m = 1.0 - s
+    t = 1.0 - 2.0 * s
+    den = u * a * c + c + a * s**4
+    j_dd = (u_s2 * c + u * a * m * m + t * t) / den
+    j_dp = dp * (u * a * m + t) / den
+    j_pp = dp * dp * (u * a + 1.0) / den
+    return -np.array([[j_dd.sum(), j_dp.sum()], [j_dp.sum(), j_pp.sum()]])
+
+
 def _try_newton(
     lam: np.ndarray, nu: np.ndarray, state: _DualState,
     metric: PerceptionMetric, D: float, P: float,
     tol_d: float, tol_p: float,
 ):
-    """One damped Newton step on the slack system; None if not accepted."""
+    """One damped Newton step on the dual; None if not accepted.
+
+    ``delta`` solves ``J delta = -slacks`` for the exact slack Jacobian
+    ``J``, at no extra dual evaluation.  The step is halved until it stays
+    positive and cuts the larger relative slack by a tenth or, once shorter
+    than a tenth, meets the Armijo condition along ``delta`` (an ascent
+    direction, since ``J`` is negative definite).  Longer steps must cut
+    the slacks: on the Armijo test alone they can lead a search in large
+    raw units toward ``nu = 0``.  A singular or nonfinite ``J`` refuses the
+    step.
+    """
     f = np.array([state.slack_d, state.slack_p])
-    jac = np.empty((2, 2))
-    for i in range(2):
-        # the absolute floor keeps the secant window above the noise of the
-        # inner root finders when a multiplier is driven toward zero
-        h = 1e-7 * nu[i] + 1e-13
-        pert = nu.copy()
-        pert[i] += h
-        st = _evaluate_dual(lam, pert[0], pert[1], metric, D, P)
-        jac[0, i] = (st.slack_d - f[0]) / h
-        jac[1, i] = (st.slack_p - f[1]) / h
+    with np.errstate(all="ignore"):
+        jac = _slack_jacobian(lam, nu[0], nu[1], state, metric)
     if not np.all(np.isfinite(jac)):
         return None
     det = jac[0, 0] * jac[1, 1] - jac[0, 1] * jac[1, 0]
@@ -162,13 +204,16 @@ def _try_newton(
         ]
     )
     phi = max(abs(state.slack_d) / tol_d, abs(state.slack_p) / tol_p)
+    slope = float(f @ delta)
     t = 1.0
     for _ in range(_MAX_NEWTON_BACKTRACKS):
         cand = nu + t * delta
         if np.all(cand > 0.0):
             st = _evaluate_dual(lam, cand[0], cand[1], metric, D, P)
             cand_phi = max(abs(st.slack_d) / tol_d, abs(st.slack_p) / tol_p)
-            if cand_phi < 0.9 * phi:
+            if cand_phi < 0.9 * phi or (
+                t < 0.1 and slope > 0.0 and st.value >= state.value + _ARMIJO_C * t * slope
+            ):
                 return cand, st
         t *= 0.5
     return None

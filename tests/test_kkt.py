@@ -22,7 +22,6 @@ def test_interior_kl_point_is_stationary():
     )
     assert r.max_abs() < 1e-14
     assert r.xi[0] == 0.0
-    assert r.eta[0] == 0.0
 
 
 def test_interior_w2_point_is_stationary():

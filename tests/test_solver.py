@@ -7,6 +7,7 @@ so the solver must reproduce it, not just the constraint equalities.
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -414,6 +415,21 @@ def test_wide_range_queries_meet_their_budgets(query):
     assert sol.achieved_perception <= P * (1.0 + 1e-6)
 
 
+def test_rest_of_the_fuzz_recipe_meets_its_budgets():
+    # queries 30-299 of the same recipe, in one test: q57 (W2), q104 and
+    # q158 (KL), with variances up to 4e6, once exhausted the dual search
+    failed = []
+    for i, (lam, D, P, metric) in enumerate(wide_fuzz_queries(300)[30:], start=30):
+        try:
+            sol = solver.solve(SourceSpectrum(lam), TradeoffQuery(D, P, metric))
+        except ConvergenceError:
+            failed.append(f"q{i}")
+            continue
+        if sol.achieved_distortion > D * (1.0 + 1e-6) or sol.achieved_perception > P * (1.0 + 1e-6):
+            failed.append(f"q{i}")
+    assert failed == []
+
+
 # Spectrum of a 16 x 16 square-Wishart covariance (benchmark seed 208).
 # At the W2 query below the smallest component keeps a gap lam - gamma of
 # ~1e-26: positive, though its water level rounds to its variance.
@@ -495,3 +511,124 @@ def test_solution_residuals_reproduce_the_certificate(path):
         rd = reverse_waterfill(s, D)
         assert rd == sol
         assert solution_residuals(s, rd, metric, D, P).max_abs() == rd.kkt_residual
+
+
+def slack_jacobian_at(lam, nu1, nu2, metric):
+    lam = np.asarray(lam, dtype=float)
+    state = solver._evaluate_dual(lam, nu1, nu2, metric, 0.0, 0.0)
+    return solver._slack_jacobian(lam, nu1, nu2, state, metric), state
+
+
+def central_slack_jacobian(lam, nu1, nu2, metric, rel):
+    nu = np.array([nu1, nu2])
+    jac = np.empty((2, 2))
+    for j in range(2):
+        h = rel * nu[j]
+        up, down = nu.copy(), nu.copy()
+        up[j] += h
+        down[j] -= h
+        a = solver._evaluate_dual(lam, up[0], up[1], metric, 0.0, 0.0)
+        b = solver._evaluate_dual(lam, down[0], down[1], metric, 0.0, 0.0)
+        jac[:, j] = [(a.slack_d - b.slack_d) / (2.0 * h), (a.slack_p - b.slack_p) / (2.0 * h)]
+    return jac
+
+
+# the slacks carry the rounding of the stationary maps: at nu1/nu2 = 1e3 the
+# W2 differences at this step are off by 4e-7 of the Hessian, at 1e4 by
+# 5e-5, so the grid stops at 1e2 (the mpmath point below needs no
+# differences)
+HESSIAN_DUALS = [
+    (nu1, nu2)
+    for nu1 in np.geomspace(0.1, 1e3, 5)
+    for nu2 in np.geomspace(0.1, 1e3, 5)
+    if nu1 < 1e3 * nu2
+]
+
+
+@pytest.mark.parametrize("metric", [PerceptionMetric.KL, PerceptionMetric.W2], ids=["kl", "w2"])
+def test_slack_jacobian_matches_central_differences(metric):
+    lam = np.geomspace(1e-3, 1.0, 4)
+    worst = 0.0
+    for nu1, nu2 in HESSIAN_DUALS:
+        jac, _ = slack_jacobian_at(lam, nu1, nu2, metric)
+        fd = central_slack_jacobian(lam, nu1, nu2, metric, 1e-4)
+        # entries relative to sqrt(|J_ii J_jj|), which bounds the off-diagonal
+        # of a definite matrix and keeps a near-zero entry meaningful
+        diag = np.abs(np.diag(jac))
+        worst = max(worst, float(np.max(np.abs(jac - fd) / np.sqrt(np.outer(diag, diag)))))
+    assert worst <= 1e-6
+
+
+def mp_budget_sums(lam, nu1, nu2, metric, gammas):
+    """Distortion and perception sums at the 60-digit stationary points.
+
+    Each component's water level solves the lambda_hat condition with
+    ``lambda_hat = gap/(2*gamma*nu1)^2`` from the gamma condition, bracketed
+    around the double-precision level.
+    """
+    dist = perc = mpmath.mpf(0)
+    for l, g0 in zip(lam, gammas):
+        l, g0 = mpmath.mpf(l), mpmath.mpf(g0)
+
+        def hat(g):
+            return (l - g) / (2 * g * nu1) ** 2
+
+        def slope(h):
+            if metric is PerceptionMetric.KL:
+                return (1 / l - 1 / h) / 2
+            return 1 - mpmath.sqrt(l / h)
+
+        bracket = (g0 * (1 - mpmath.mpf("1e-9")), g0 * (1 + mpmath.mpf("1e-9")))
+        g = mpmath.findroot(
+            lambda g: nu1 * (1 - 2 * g * nu1) + nu2 * slope(hat(g)), bracket, solver="illinois"
+        )
+        h = hat(g)
+        dist += l - 2 * mpmath.sqrt(h * (l - g)) + h
+        if metric is PerceptionMetric.KL:
+            perc += (h / l - 1 - mpmath.log(h / l)) / 2
+        else:
+            perc += (mpmath.sqrt(l) - mpmath.sqrt(h)) ** 2
+    return dist, perc
+
+
+@pytest.mark.parametrize("metric", [PerceptionMetric.KL, PerceptionMetric.W2], ids=["kl", "w2"])
+def test_slack_jacobian_matches_mpmath(metric):
+    lam, nu1, nu2 = (0.05, 0.4, 2.0), 3.0, 0.5
+    jac, state = slack_jacobian_at(lam, nu1, nu2, metric)
+    with mpmath.workdps(60):
+        nu = [mpmath.mpf(nu1), mpmath.mpf(nu2)]
+        ref = np.empty((2, 2))
+        for j in range(2):
+            h = nu[j] * mpmath.mpf("1e-25")
+            up, down = list(nu), list(nu)
+            up[j] += h
+            down[j] -= h
+            a = mp_budget_sums(lam, up[0], up[1], metric, state.gammas)
+            b = mp_budget_sums(lam, down[0], down[1], metric, state.gammas)
+            ref[:, j] = [float((a[i] - b[i]) / (2 * h)) for i in range(2)]
+    assert np.max(np.abs(jac - ref) / np.abs(ref)) <= 1e-12
+
+
+def test_slack_jacobian_on_the_kl_zero_rate_boundary():
+    # multipliers this small underflow every KL gap, so the dual is evaluated
+    # on the zero-rate boundary (gaps 0): gamma is pinned and only lambda_hat
+    # responds, -sum [1, p'; p', p'^2]/(nu2 p'')
+    lam = np.array([1e-3, 0.5, 2.0])
+    nu1, nu2 = 1e-170, 1.0
+    jac, state = slack_jacobian_at(lam, nu1, nu2, PerceptionMetric.KL)
+    assert np.all(state.gaps == 0.0)
+    dp = 0.5 * (1.0 / lam - 1.0 / state.hats)
+    c = nu2 * 0.5 / state.hats**2
+    expected = -np.array([[np.sum(1.0 / c), np.sum(dp / c)], [np.sum(dp / c), np.sum(dp * dp / c)]])
+    assert np.allclose(jac, expected, rtol=1e-14, atol=0.0)
+    # p' = 0 there makes the system singular: no step, and no warning
+    nu = np.array([nu1, nu2])
+    assert solver._try_newton(lam, nu, state, PerceptionMetric.KL, 1.0, 0.1, 1e-9, 1e-10) is None
+
+
+def test_newton_step_refused_on_a_nonfinite_jacobian():
+    lam = np.array([0.5, 2.0])
+    nu = np.array([1.0, 1.0])
+    state = solver._evaluate_dual(lam, nu[0], nu[1], PerceptionMetric.W2, 1.0, 0.1)
+    state.hats[0] = 0.0
+    assert solver._try_newton(lam, nu, state, PerceptionMetric.W2, 1.0, 0.1, 1e-9, 1e-10) is None
