@@ -38,7 +38,7 @@ def main():
     oracle = minimize_primal(s, q)
     diff = abs(sol.total_rate - oracle.rate)
     print(f"\nbarrier oracle: rate {oracle.rate:.10f} nats")
-    print(f"  |difference| = {diff:.2e} nats (barrier mu reached {oracle.barrier_mu_final:g})")
+    print(f"  |difference| = {diff:.2e} nats ({oracle.newton_steps} barrier Newton steps)")
 
     res = solution_residuals(s, sol, METRIC, D, P)
     stat = max(abs(v) for v in list(res.stationarity_gamma) + list(res.stationarity_lambda_hat))

@@ -45,7 +45,6 @@ from . import __version__
 from .errors import (
     ConvergenceError,
     DomainError,
-    LineSearchError,
     NonPositiveDistortionError,
     OutOfRangeError,
     RdpError,
@@ -324,7 +323,7 @@ def run_curve(cfg: RunConfig) -> CurveSweep:
             return q, solve(s, q, cfg.solver), None
         except OutOfRangeError:
             return q, None, "infeasible"
-        except (ConvergenceError, LineSearchError):
+        except ConvergenceError:
             return q, None, "convergence_failure"
 
     if cfg.jobs == 1:
@@ -708,7 +707,7 @@ def main(argv: list[str] | None = None) -> int:
     except OutOfRangeError as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
         return 2
-    except (ConvergenceError, LineSearchError) as exc:
+    except ConvergenceError as exc:
         print(f"convergence failure: {exc}", file=sys.stderr)
         return 3
     except RdpError as exc:

@@ -29,7 +29,8 @@ the equation is a quadratic with a sign change over ``(0, lam)`` and no
 pole.  Its root is taken in closed form, by the cancellation-free quadratic
 formula, in the gap variable ``lam - g`` where the gap is at most ``lam/2``
 and in ``g`` itself elsewhere; the ``g`` root is then Newton-polished.
-Elements where neither closed form lands inside ``(0, lam)`` are bisected.
+An element where neither closed form lands inside ``(0, lam)`` (rounding
+at degenerate multipliers) gets a nonfinite ``lambda_hat``.
 
 W2 metric: with ``theta = sqrt((lam-g)/lambda_hat)``, ``theta`` is the
 unique root of
@@ -55,7 +56,6 @@ import numpy as np
 
 from .errors import ConvergenceError, DualDegenerateError
 from .model import PerceptionMetric
-from .rootfind import bisect_root
 
 __all__ = [
     "distortion_terms",
@@ -158,8 +158,9 @@ def stationary_pair_kl(
     keep an accurate gap and ``lambda_hat`` even when the water level
     itself rounds to ``lam``.  May
     return a nonfinite or zero ``lambda_hat`` when the multipliers are
-    degenerate enough to underflow the gap; callers should treat that as a
-    zero-rate boundary evaluation.
+    degenerate enough to underflow the gap, or to leave neither closed-form
+    root inside ``(0, lam)``; callers should treat that as a zero-rate
+    boundary evaluation.
 
     Raises
     ------
@@ -179,13 +180,6 @@ def stationary_pair_kl(
             l, bf = lam[far], b[far]
             c = nu1 * l + 0.5 * nu2
             g = _root_inside(a, bf, c, l)
-            for i in np.flatnonzero(np.isinf(g)):
-                # h(0) = c > 0 and h(lam) = -2 nu1^2 lam^2 nu2 < 0
-                li, bi, ci = float(l[i]), float(bf[i]), float(c[i])
-                g[i] = bisect_root(
-                    lambda x: (a * x + bi) * x + ci, 0.0, li,
-                    f_lo=ci, f_hi=-2.0 * nu1 * nu1 * li * li * nu2,
-                )
             h = (a * g + bf) * g + c
             for _ in range(_KL_POLISH_STEPS):
                 cand = g - h / (2.0 * a * g + bf)

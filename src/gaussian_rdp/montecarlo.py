@@ -243,9 +243,9 @@ def verify_solution(
 
     Each component gets its own independent stream keyed by its index.
     The summed analytic distortions are required to reproduce the
-    solution's achieved distortion to 1e-10; when the producing metric is
-    supplied, the summed analytic perceptions must reproduce the achieved
-    perception likewise.
+    solution's achieved distortion to 1e-10 of itself; when the producing
+    metric is supplied, the summed analytic perceptions must reproduce the
+    achieved perception likewise.
 
     Raises
     ------
@@ -259,9 +259,7 @@ def verify_solution(
         pair = build_pair(float(l), min(float(g), float(l)), float(h))
         reports.append(sample_and_measure(pair, n, seed, stream=i))
         analytic_total += reports[-1].analytic_distortion
-    if abs(analytic_total - sol.achieved_distortion) > 1e-10 * max(
-        1.0, sol.achieved_distortion
-    ):
+    if abs(analytic_total - sol.achieved_distortion) > 1e-10 * sol.achieved_distortion:
         raise DomainError(
             "analytic distortion total does not reproduce the solution: "
             f"{analytic_total!r} vs {sol.achieved_distortion!r}"
@@ -270,9 +268,7 @@ def verify_solution(
         sol.achieved_perception
     ):
         perception_total = float(perception_terms(lam, sol.lambda_hats, metric).sum())
-        if abs(perception_total - sol.achieved_perception) > 1e-10 * max(
-            1.0, sol.achieved_perception
-        ):
+        if abs(perception_total - sol.achieved_perception) > 1e-10 * sol.achieved_perception:
             raise DomainError(
                 "analytic perception total does not reproduce the solution: "
                 f"{perception_total!r} vs {sol.achieved_perception!r}"

@@ -8,19 +8,25 @@ centered point is within (number of constraints) * 1e-8 nats of the true
 minimum, comfortably under the 1e-6 certificate this module promises.
 
 Each barrier stage is minimized by a damped Newton iteration on the full
-analytic Hessian (dense, 2L by 2L), falling back to a plain gradient step
-whenever the Newton direction is unusable.  Plain gradient descent alone
-was measured first and rejected: the barrier Hessian's condition number
-grows like the inverse barrier weight, and descent stalls around 1e-3
-nats of the optimum at desk scale, far off the certificate.
+analytic Hessian (dense, 2L by 2L).  The Hessian is positive definite
+everywhere inside the feasible set, so every Newton direction descends and
+no other direction is ever needed.  Plain gradient descent was measured
+first and rejected: the barrier Hessian's condition number grows like the
+inverse barrier weight, and descent stalls around 1e-3 nats of the optimum
+at desk scale, far off the certificate.
+
+A perception budget of exactly zero is the same program with every
+reconstruction variance pinned to its source variance; the barrier
+problem then runs over the L water levels alone.
 
 A stage ends when the squared Newton decrement ``-grad @ direction``
 reaches 1e-12 (Boyd & Vandenberghe, *Convex Optimization*, sections 9.5
 and 11.3).  The decrement is affine-invariant, so the stopping point, the
 number of steps and the rate do not depend on the units of the source.
-The gradient norm it replaces grows like the inverse water level: on
-near-singular spectra a fixed tolerance on it could not be met, and such
-stages ran to their step cap inside rounding noise.
+A fixed tolerance on the gradient norm would not serve: the gradient
+grows like the inverse water level, so on near-singular spectra such a
+tolerance cannot be met and the stage runs to its step cap inside rounding
+noise.
 
 This module shares no iterate machinery with the dual search: it never
 forms multipliers, never uses the stationary-point maps, and touches the
@@ -91,8 +97,6 @@ class OracleResult:
 
     rate: float
     point: PrimalPoint
-    barrier_mu_final: float
-    gradient_norm_final: float
     newton_steps: int
 
 
@@ -125,8 +129,12 @@ class _BarrierProblem:
     """Barrier value, gradient, and Hessian for one query.
 
     The variable vector stacks the water levels first, then the
-    reconstruction variances.  For an unconstrained perception budget the
-    perception barrier term is simply absent.
+    reconstruction variances.  A perception budget of exactly zero pins
+    every reconstruction variance to its source variance, the optimum the
+    paper gives for perfect perception: the water levels are then the only
+    variables, and the perception barrier and the reconstruction-variance
+    barriers are absent.  For an unconstrained perception budget only the
+    perception barrier is absent.
     """
 
     def __init__(self, s: SourceSpectrum, D: float, P: float, metric: PerceptionMetric):
@@ -134,9 +142,14 @@ class _BarrierProblem:
         self.D = D
         self.P = P
         self.metric = metric
-        self.has_perception = metric is not PerceptionMetric.UNCONSTRAINED
+        self.pinned = P == 0.0
+        self.has_perception = (
+            not self.pinned and metric is not PerceptionMetric.UNCONSTRAINED
+        )
 
     def split(self, x):
+        if self.pinned:
+            return x, self.lam
         n = self.lam.size
         return x[:n], x[n:]
 
@@ -164,94 +177,89 @@ class _BarrierProblem:
         gammas, hats = self.split(x)
         lam = self.lam
         sd = self.D - float(np.sum(_distortion_terms(lam, gammas, hats)))
-        total = self.objective(x)
-        total -= mu * (
+        logs = (
             math.log(sd)
             + float(np.sum(np.log(gammas)))
             + float(np.sum(np.log(lam - gammas)))
-            + float(np.sum(np.log(hats)))
         )
+        if not self.pinned:
+            logs += float(np.sum(np.log(hats)))
+        total = self.objective(x) - mu * logs
         if self.has_perception:
             sp = self.P - float(np.sum(_perception_terms(lam, hats, self.metric)))
             total -= mu * math.log(sp)
         return total
 
-    def gradient(self, x, mu: float):
+    def derivatives(self, x, mu: float):
+        """Gradient and Hessian of the barrier function at ``x``."""
         gammas, hats = self.split(x)
         lam = self.lam
         gap = lam - gammas
         sd = self.D - float(np.sum(_distortion_terms(lam, gammas, hats)))
         d_gamma = np.sqrt(hats / gap)
-        d_hat = 1.0 - np.sqrt(gap / hats)
         g_gamma = -0.5 / gammas + (mu / sd) * d_gamma - mu / gammas + mu / gap
-        g_hat = (mu / sd) * d_hat - mu / hats
-        if self.has_perception:
-            sp = self.P - float(np.sum(_perception_terms(lam, hats, self.metric)))
-            g_hat = g_hat + (mu / sp) * _perception_partials(lam, hats, self.metric)
-        return np.concatenate([g_gamma, g_hat])
+        # objective and box curvature, then the curvature of the distortion
+        # sum itself (rank one per component in (gamma, lambda_hat))
+        h_gamma = 0.5 / gammas**2 + mu / gammas**2 + mu / gap**2
+        h_gamma += (mu / sd) * (0.5 * np.sqrt(hats) / gap**1.5)
+        if self.pinned:
+            hess = np.diag(h_gamma) + (mu / sd**2) * np.outer(d_gamma, d_gamma)
+            return g_gamma, hess
 
-    def hessian(self, x, mu: float):
-        gammas, hats = self.split(x)
-        lam = self.lam
         n = lam.size
-        gap = lam - gammas
-        sd = self.D - float(np.sum(_distortion_terms(lam, gammas, hats)))
-        d_gamma = np.sqrt(hats / gap)
-        d_hat = 1.0 - np.sqrt(gap / hats)
-
-        hess = np.zeros((2 * n, 2 * n))
         idx = np.arange(n)
-        # objective and box curvature
-        hess[idx, idx] += 0.5 / gammas**2 + mu / gammas**2 + mu / gap**2
-        hess[idx + n, idx + n] += mu / hats**2
-        # curvature of the distortion sum itself (rank one per component)
-        p = 0.5 * np.sqrt(hats) / gap**1.5
-        q = 0.5 * np.sqrt(gap) / hats**1.5
-        r = 0.5 / np.sqrt(hats * gap)
-        hess[idx, idx] += (mu / sd) * p
-        hess[idx + n, idx + n] += (mu / sd) * q
-        hess[idx, idx + n] += (mu / sd) * r
-        hess[idx + n, idx] += (mu / sd) * r
+        d_hat = 1.0 - np.sqrt(gap / hats)
+        g_hat = (mu / sd) * d_hat - mu / hats
+        hess = np.zeros((2 * n, 2 * n))
+        hess[idx, idx] = h_gamma
+        hess[idx + n, idx + n] = mu / hats**2 + (mu / sd) * (
+            0.5 * np.sqrt(gap) / hats**1.5
+        )
+        hess[idx, idx + n] = hess[idx + n, idx] = (mu / sd) * (
+            0.5 / np.sqrt(hats * gap)
+        )
         # squared-gradient term of the distortion barrier
         a = np.concatenate([d_gamma, d_hat])
         hess += (mu / sd**2) * np.outer(a, a)
         if self.has_perception:
             sp = self.P - float(np.sum(_perception_terms(lam, hats, self.metric)))
             ph = _perception_partials(lam, hats, self.metric)
+            g_hat = g_hat + (mu / sp) * ph
             hess[idx + n, idx + n] += (mu / sp) * _perception_curvatures(
                 lam, hats, self.metric
             )
-            b = np.concatenate([np.zeros(n), ph])
-            hess += (mu / sp**2) * np.outer(b, b)
-        return hess
+            hess[n:, n:] += (mu / sp**2) * np.outer(ph, ph)
+        return np.concatenate([g_gamma, g_hat]), hess
 
 
 def _minimize_stage(problem: _BarrierProblem, x, mu: float):
-    """Center one barrier stage, returning (x, max|grad|, steps taken).
+    """Center one barrier stage, returning (x, steps taken).
+
+    Every step is a Newton step damped by an Armijo backtrack.  Inside the
+    feasible set the barrier Hessian is positive definite: the objective
+    and the box barriers are strictly convex in each water level and
+    reconstruction variance, and the budget barriers are convex
+    (Boyd & Vandenberghe, section 11.3).  So the Newton direction descends;
+    one that rounding turns uphill has a nonpositive decrement and ends the
+    stage like a converged one.
 
     The stage ends when the squared Newton decrement ``-grad @ direction``
     falls to ``_DECREMENT_TOL``.  Scaling the variances by c scales the
     gradient by 1/c and the Newton step by c, so their product, twice the
-    decrease the Newton model predicts, is free of units.  The test on
-    ``max|grad|`` it replaces carried the units of ``1/gamma``: on
-    near-singular spectra it could not be met before the step cap.
+    decrease the Newton model predicts, is free of units.
+
+    Raises
+    ------
+    LineSearchError
+        If no backtrack of a Newton step meets the Armijo condition.
     """
     value = problem.value(x, mu)
     for steps in range(_MAX_STAGE_ITERATIONS):
-        grad = problem.gradient(x, mu)
-        direction = None
-        try:
-            direction = np.linalg.solve(problem.hessian(x, mu), -grad)
-        except np.linalg.LinAlgError:
-            pass
-        if direction is None or not np.all(np.isfinite(direction)) or (
-            float(grad @ direction) >= 0.0
-        ):
-            direction = -grad
+        grad, hess = problem.derivatives(x, mu)
+        direction = np.linalg.solve(hess, -grad)
         slope = float(grad @ direction)
-        gnorm = float(np.max(np.abs(grad)))
         if -slope <= _DECREMENT_TOL:
-            return x, gnorm, steps
+            return x, steps
         t = 1.0
         for _ in range(_MAX_BACKTRACKS):
             cand = x + t * direction
@@ -261,18 +269,12 @@ def _minimize_stage(problem: _BarrierProblem, x, mu: float):
                 break
             t *= 0.5
         else:
-            # no representable improving step; accept if the residual force
-            # is already at the barrier's floating-point noise floor
-            if gnorm <= 1e-2:
-                return x, gnorm, steps
             raise LineSearchError(
                 "barrier stage stalled",
                 barrier_mu=mu,
-                gradient_norm=gnorm,
                 newton_decrement_sq=-slope,
             )
-    grad = problem.gradient(x, mu)
-    return x, float(np.max(np.abs(grad))), _MAX_STAGE_ITERATIONS
+    return x, _MAX_STAGE_ITERATIONS
 
 
 def _probe_seed(problem: _BarrierProblem, x0):
@@ -294,12 +296,20 @@ def _run_barrier(problem: _BarrierProblem, x):
     mu = MU_INITIAL
     newton_steps = 0
     while True:
-        x, gnorm, steps = _minimize_stage(problem, x, mu)
+        x, steps = _minimize_stage(problem, x, mu)
         newton_steps += steps
         if mu <= MU_FINAL * (1.0 + 1e-12):
-            break
+            return x, newton_steps
         mu = max(mu * MU_SHRINK, MU_FINAL)
-    return x, mu, gnorm, newton_steps
+
+
+def _oracle_result(problem: _BarrierProblem, x, steps: int) -> OracleResult:
+    gammas, hats = problem.split(x)
+    return OracleResult(
+        rate=problem.objective(x),
+        point=PrimalPoint(gammas=gammas, lambda_hats=hats),
+        newton_steps=steps,
+    )
 
 
 def minimize_primal(
@@ -316,8 +326,8 @@ def minimize_primal(
     InfeasibleSeedError
         If deterministic probing finds no strictly interior start.
     LineSearchError
-        If a barrier stage stalls before its Newton decrement falls to
-        tolerance.
+        If no backtrack of a barrier Newton step decreases the barrier
+        function enough.
     """
     if q.perception_budget == 0.0:
         raise DomainError(
@@ -330,16 +340,8 @@ def minimize_primal(
             x0 = np.concatenate([0.5 * s.lambdas, s.lambdas.copy()])
     else:
         x0 = np.concatenate([0.5 * s.lambdas, s.lambdas.copy()])
-    x = _probe_seed(problem, x0)
-    x, mu, gnorm, steps = _run_barrier(problem, x)
-    gammas, hats = problem.split(x)
-    return OracleResult(
-        rate=problem.objective(x),
-        point=PrimalPoint(gammas=gammas, lambda_hats=hats),
-        barrier_mu_final=mu,
-        gradient_norm_final=gnorm,
-        newton_steps=steps,
-    )
+    x, steps = _run_barrier(problem, _probe_seed(problem, x0))
+    return _oracle_result(problem, x, steps)
 
 
 def minimize_primal_p0(s: SourceSpectrum, D: float) -> OracleResult:
@@ -359,80 +361,9 @@ def minimize_primal_p0(s: SourceSpectrum, D: float) -> OracleResult:
         raise OutOfRangeError(
             f"distortion budget must lie in (0, {ceiling}), got {D!r}"
         )
-    problem = _PinnedBarrierProblem(s, D)
-    x = _probe_seed_pinned(problem, 0.5 * s.lambdas)
-    x, mu, gnorm, steps = _run_barrier(problem, x)
-    return OracleResult(
-        rate=problem.objective(x),
-        point=PrimalPoint(gammas=x, lambda_hats=s.lambdas.copy()),
-        barrier_mu_final=mu,
-        gradient_norm_final=gnorm,
-        newton_steps=steps,
-    )
-
-
-class _PinnedBarrierProblem:
-    """Water-level-only barrier problem with reconstruction pinned."""
-
-    def __init__(self, s: SourceSpectrum, D: float):
-        self.lam = s.lambdas
-        self.D = D
-
-    def feasible(self, x) -> bool:
-        if not (np.all(x > 0.0) and np.all(x < self.lam)):
-            return False
-        return float(np.sum(self._terms(x))) < self.D
-
-    def _terms(self, x):
-        lam = self.lam
-        return 2.0 * lam - 2.0 * np.sqrt(lam * (lam - x))
-
-    def objective(self, x) -> float:
-        return float(0.5 * np.sum(np.log(self.lam / x)))
-
-    def value(self, x, mu: float) -> float:
-        if not self.feasible(x):
-            return math.inf
-        lam = self.lam
-        sd = self.D - float(np.sum(self._terms(x)))
-        return self.objective(x) - mu * (
-            math.log(sd)
-            + float(np.sum(np.log(x)))
-            + float(np.sum(np.log(lam - x)))
-        )
-
-    def gradient(self, x, mu: float):
-        lam = self.lam
-        gap = lam - x
-        sd = self.D - float(np.sum(self._terms(x)))
-        d_gamma = np.sqrt(lam / gap)
-        return -0.5 / x + (mu / sd) * d_gamma - mu / x + mu / gap
-
-    def hessian(self, x, mu: float):
-        lam = self.lam
-        gap = lam - x
-        sd = self.D - float(np.sum(self._terms(x)))
-        d_gamma = np.sqrt(lam / gap)
-        diag = (
-            0.5 / x**2
-            + mu / x**2
-            + mu / gap**2
-            + (mu / sd) * 0.5 * np.sqrt(lam) / gap**1.5
-        )
-        return np.diag(diag) + (mu / sd**2) * np.outer(d_gamma, d_gamma)
-
-
-def _probe_seed_pinned(problem: _PinnedBarrierProblem, x0):
-    x = x0.copy()
-    for _ in range(_SEED_HALVINGS):
-        if problem.feasible(x):
-            return x
-        x *= 0.5
-    if problem.feasible(x):
-        return x
-    raise InfeasibleSeedError(
-        "no strictly interior starting point found by deterministic probing"
-    )
+    problem = _BarrierProblem(s, D, 0.0, PerceptionMetric.UNCONSTRAINED)
+    x, steps = _run_barrier(problem, _probe_seed(problem, 0.5 * s.lambdas))
+    return _oracle_result(problem, x, steps)
 
 
 def check_gradients(

@@ -5,6 +5,7 @@ assertions here are exact regressions for the seeds used, not flaky
 checks.
 """
 
+import dataclasses
 import math
 import random
 
@@ -237,3 +238,15 @@ def test_verify_w2_solution_perception_total():
     reports = verify_solution(s, sol, 20000, 3, metric=PerceptionMetric.W2)
     assert len(reports) == 2
     assert all(r.within_four_se for r in reports)
+
+
+@pytest.mark.parametrize("field", ["achieved_distortion", "achieved_perception"])
+def test_verify_totals_are_checked_relative_to_themselves(field):
+    # at 1e-6 of desk scale the totals are about 1e-6, so a bound floored
+    # at 1e-10 absolute would let a 1e-7 relative error through
+    s = SourceSpectrum((2e-6, 0.5e-6))
+    sol = solve(s, TradeoffQuery(1.2e-6, 0.2e-6, PerceptionMetric.W2))
+    verify_solution(s, sol, 5000, 3, metric=PerceptionMetric.W2)
+    off = dataclasses.replace(sol, **{field: getattr(sol, field) * (1.0 + 1e-7)})
+    with pytest.raises(DomainError):
+        verify_solution(s, off, 5000, 3, metric=PerceptionMetric.W2)
