@@ -629,13 +629,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    solver = None
-    if args.tol_distortion is not None or args.tol_perception is not None:
-        base = SolverConfig()
-        solver = SolverConfig(
-            distortion_tol=args.tol_distortion or base.distortion_tol,
-            perception_tol=args.tol_perception or base.perception_tol,
-        )
+    # a tolerance given as 0 reaches SolverConfig, which rejects it
+    tols = {"distortion_tol": args.tol_distortion, "perception_tol": args.tol_perception}
+    tols = {name: tol for name, tol in tols.items() if tol is not None}
+    solver = SolverConfig(**tols) if tols else None
     fmt = args.format
     if fmt is None:
         fmt = "csv" if args.command == "curve" else "json"

@@ -26,7 +26,6 @@ from typing import Optional
 import numpy as np
 
 from .errors import (
-    ConvergenceError,
     DimensionZeroError,
     DomainError,
     NonPositiveDistortionError,
@@ -284,8 +283,10 @@ def zero_rate_reconstruction(
     component distortion is ``lambda + lambda_hat`` and the only freedom is
     the reconstruction variance vector. Returns the distortion-minimizing
     ``lambda_hat`` vector and its total distortion; this is the boundary of
-    the zero-rate feasibility region, found by bisection on the scalar
-    multiplier of the perception constraint.
+    the zero-rate feasibility region.  Under KL, ``lambda_hat =
+    lambda*mu/(mu + 2*lambda)`` for the scalar multiplier ``mu`` of the
+    perception constraint, which :func:`rootfind.bisect_root` finds by
+    Newton steps on ``log(KL/P)`` in ``log(mu)``.
     """
     if math.isnan(P) or P < 0.0:
         raise DomainError(f"perception budget must be nonnegative, got {P!r}")
@@ -303,39 +304,34 @@ def zero_rate_reconstruction(
     if metric is not PerceptionMetric.KL:
         raise DomainError(f"unsupported metric {metric!r}")
 
-    def hats_of(log_mu: float) -> np.ndarray:
-        mu = math.exp(log_mu)
-        return lam * (mu / (mu + 2.0 * lam))
-
     log_two_lam = np.log(2.0 * lam)
 
-    def excess(log_mu: float) -> float:
-        # KL = 0.5*(x - log(1 + x)) with x = lambda_hat/lambda - 1, formed
-        # without cancellation; -log(1 + x) = log(1 + 2*lambda/mu) is taken
-        # by logaddexp, which stays exact where lambda_hat << lambda
-        x = -2.0 * lam / (math.exp(log_mu) + 2.0 * lam)
-        return float(0.5 * np.sum(x + np.logaddexp(0.0, log_two_lam - log_mu))) - P
+    def excess(log_mu: float) -> tuple[float, float]:
+        # log(KL/P) and its slope in log(mu).  With w = lambda/(mu + lambda)
+        # a term of KL is atanh(w) - w + w^2/(1 + w): atanh(w) is
+        # 0.5*log(1 + 2*lambda/mu), taken by logaddexp, which stays exact
+        # where lambda_hat << lambda, and atanh(w) - w by its series where
+        # the difference would cancel.  dKL/dlog(mu) = -2*sum((w/(1+w))^2)
+        w = lam / (math.exp(log_mu) + lam)
+        w2 = w * w
+        tail = np.where(
+            w < 1e-2,
+            w * w2 * (1.0 / 3.0 + w2 * (0.2 + w2 * (1.0 / 7.0 + w2 / 9.0))),
+            0.5 * np.logaddexp(0.0, log_two_lam - log_mu) - w,
+        )
+        kl = float(np.sum(tail + w2 / (1.0 + w)))
+        return math.log(kl / P), -2.0 * float(np.sum((w / (1.0 + w)) ** 2)) / kl
 
-    # KL of the argmin is strictly decreasing in mu; expand a log bracket
-    lo = hi = 0.0
-    step = 1.0
-    while excess(lo) <= 0.0:
-        if lo <= -700.0:
-            # the budget is so large the optimal variances sit below
-            # floating-point resolution; this point is feasible and its
-            # distortion rounds to the infimum sum(lambdas)
-            hats = hats_of(lo)
-            return hats, total + float(np.sum(hats))
-        lo = max(lo - step, -700.0)
-        step *= 2.0
-    step = 1.0
-    while excess(hi) >= 0.0:
-        if hi >= 709.0:
-            raise ConvergenceError("zero-rate multiplier bracket failed", side="hi")
-        hi = min(hi + step, 709.0)
-        step *= 2.0
-    root = bisect_root(excess, lo, hi, rtol=1e-14, atol=1e-14)
-    hats = hats_of(root)
+    # each KL term is at most 2*lambda^2/mu^2, so KL <= P at this start
+    start = 0.5 * math.log(2.0 * float(np.sum(lam * lam)) / P)
+    if start > math.log(float(lam.max())) + 40.0:
+        # mu > 1e17*lambda at the root, so every lambda_hat rounds to lambda
+        return lam.copy(), 2.0 * total
+    # a root below the floor means the budget is so large that the optimal
+    # variances sit below floating-point resolution; the floor is feasible
+    # and its distortion rounds to the infimum sum(lambdas)
+    mu = math.exp(max(bisect_root(excess, start), -700.0))
+    hats = lam * (mu / (mu + 2.0 * lam))
     return hats, total + float(np.sum(hats))
 
 

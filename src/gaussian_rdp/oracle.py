@@ -246,7 +246,11 @@ def _minimize_stage(problem: _BarrierProblem, x, mu: float):
     The stage ends when the squared Newton decrement ``-grad @ direction``
     falls to ``_DECREMENT_TOL``.  Scaling the variances by c scales the
     gradient by 1/c and the Newton step by c, so their product, twice the
-    decrease the Newton model predicts, is free of units.
+    decrease the Newton model predicts, is free of units.  It also ends
+    after an accepted step that leaves the barrier value unchanged: the
+    decrement can sit just above its threshold while every step the
+    backtrack accepts is too short to move the value off its rounding
+    floor.
 
     Raises
     ------
@@ -265,6 +269,9 @@ def _minimize_stage(problem: _BarrierProblem, x, mu: float):
             cand = x + t * direction
             cand_value = problem.value(cand, mu)
             if cand_value <= value + _ARMIJO_C * t * slope:
+                if not cand_value < value:
+                    # the step no longer lowers the value: rounding floor
+                    return cand, steps + 1
                 x, value = cand, cand_value
                 break
             t *= 0.5

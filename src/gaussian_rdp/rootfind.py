@@ -1,12 +1,12 @@
-"""Safeguarded scalar bisection for the package's bracketed scalar searches.
+"""Safeguarded Newton iteration for the package's scalar equations.
 
-The zero-rate KL multiplier and the rare KL stationary points that no closed
-form reaches are found on sign-change brackets, so a single bisection
-routine with fixed stopping semantics (relative bracket width 1e-14 or 200
-iterations, whichever first) keeps tolerance behaviour uniform. Endpoint
-function values may be supplied by the caller when an endpoint itself is
-outside the evaluable domain (e.g. a pole with known sign); only interior
-midpoints are then evaluated.
+Two scalar equations remain once the per-component maps are in closed form:
+the zero-rate perception boundary (``model.zero_rate_reconstruction``, KL
+metric) and the distortion equation at a perception budget of exactly zero
+(``solver``).  Both are posed as a decreasing function of one log-scale
+variable and solved here, so they share one stopping rule: Newton steps
+inside a sign bracket that every evaluation tightens, with a bisection step
+for any step that leaves it.
 """
 
 from __future__ import annotations
@@ -18,75 +18,48 @@ from .errors import ConvergenceError
 
 __all__ = ["bisect_root"]
 
-DEFAULT_RTOL = 1e-14
-DEFAULT_MAX_ITER = 200
+_RTOL = 1e-14
+_MAX_ITER = 200
 
 
-def bisect_root(
-    f: Callable[[float], float],
-    lo: float,
-    hi: float,
-    f_lo: float | None = None,
-    f_hi: float | None = None,
-    rtol: float = DEFAULT_RTOL,
-    atol: float = 0.0,
-    max_iter: int = DEFAULT_MAX_ITER,
-) -> float:
-    """Return a root of ``f`` inside the sign-change bracket ``[lo, hi]``.
+def bisect_root(f: Callable[[float], tuple[float, float]], x0: float) -> float:
+    """Return the root of the decreasing function ``f``, starting at ``x0``.
 
-    Parameters
-    ----------
-    f : callable
-        Continuous function with ``sign(f(lo)) != sign(f(hi))``.
-    lo, hi : float
-        Bracket endpoints, ``lo < hi``.
-    f_lo, f_hi : float, optional
-        Endpoint values if already known or not safely evaluable; only the
-        sign is used. Infinities are accepted.
-    rtol, atol : float
-        Stop once ``hi - lo <= rtol*max(|lo|, |hi|) + atol``.
-    max_iter : int
-        Iteration budget; exceeding it raises :class:`ConvergenceError`.
+    ``f(x)`` returns the pair ``(value, slope)``.  Each evaluation moves the
+    sign bracket, which starts as ``(-inf, inf)``: a positive value raises
+    its lower end to ``x``, a negative one lowers its upper end.  The
+    Newton step ``-value/slope`` is taken when it stays strictly inside the
+    bracket and replaced by the bracket's midpoint otherwise.  A decreasing
+    ``f`` with a negative slope always steps toward its root, so a step can
+    only leave the bracket through an end that is already finite.  The
+    search stops once a step, or a bracket about to be bisected, is at most
+    ``1e-14*max(1, |x|)`` wide.
 
     Raises
     ------
     ConvergenceError
-        If the endpoints do not bracket a sign change, or the bracket fails
-        to reach the stopping width within ``max_iter`` iterations.
+        If the iteration has not stopped after 200 evaluations.
     """
-    if not lo < hi:
-        raise ConvergenceError("empty bracket", lo=lo, hi=hi)
-    if f_lo is None:
-        f_lo = f(lo)
-    if f_hi is None:
-        f_hi = f(hi)
-    if f_lo == 0.0:
-        return lo
-    if f_hi == 0.0:
-        return hi
-    s_lo = math.copysign(1.0, f_lo)
-    if s_lo == math.copysign(1.0, f_hi):
-        raise ConvergenceError(
-            "no sign change over bracket", lo=lo, hi=hi, f_lo=f_lo, f_hi=f_hi
-        )
-    for _ in range(max_iter):
-        if hi - lo <= rtol * max(abs(lo), abs(hi)) + atol:
-            return 0.5 * (lo + hi)
-        mid = 0.5 * (lo + hi)
-        if not lo < mid < hi:
-            # bracket already spans adjacent floats
-            return mid if lo < mid <= hi else 0.5 * (lo + hi)
-        f_mid = f(mid)
-        if f_mid == 0.0:
-            return mid
-        if math.copysign(1.0, f_mid) == s_lo:
-            lo = mid
+    lo, hi = -math.inf, math.inf
+    x = x0
+    for _ in range(_MAX_ITER):
+        value, slope = f(x)
+        if value > 0.0:
+            lo = x
+        elif value < 0.0:
+            hi = x
         else:
-            hi = mid
+            return x
+        step = -value / slope
+        nxt = x + step
+        tol = _RTOL * max(1.0, abs(x))
+        if abs(step) <= tol:
+            return nxt
+        if not lo < nxt < hi:
+            nxt = 0.5 * (lo + hi)
+            if hi - lo <= tol:
+                return nxt
+        x = nxt
     raise ConvergenceError(
-        "bisection iteration budget exhausted",
-        lo=lo,
-        hi=hi,
-        width=hi - lo,
-        max_iter=max_iter,
+        "root iteration budget exhausted", x=x, lo=lo, hi=hi, max_iter=_MAX_ITER
     )

@@ -20,8 +20,9 @@ A query (D, P, metric) lands in one of three regimes, checked in order:
 
 A perception budget of exactly zero pins every reconstruction variance to
 its source variance, sending nu2 to infinity; that regime is handled by a
-dedicated fast path that runs a bracketed Newton iteration on the log of
-the single remaining multiplier.
+dedicated fast path that solves the distortion equation for the log of the
+single remaining multiplier with :func:`rootfind.bisect_root`, the
+package's one safeguarded Newton iteration.
 
 Every dual evaluation works on the whole spectrum at once: one call to the
 array-valued stationary map of the metric, then array sums.  Each regime
@@ -54,6 +55,7 @@ from .model import (
     TradeoffQuery,
     zero_rate_reconstruction,
 )
+from .rootfind import bisect_root
 
 __all__ = [
     "SolverConfig",
@@ -70,16 +72,15 @@ DUAL_FLOOR = 1e-300
 _ARMIJO_C = 1e-4
 _MAX_BACKTRACKS = 60
 _MAX_NEWTON_BACKTRACKS = 25
-_P0_MAX_ITER = 200
 
 
 @dataclass(frozen=True)
 class SolverConfig:
     """Convergence knobs for the dual search.
 
-    ``distortion_tol`` is relative to the total source variance;
-    ``perception_tol`` is relative to the perception budget ``P`` itself,
-    so a small budget is met to the same number of digits as a large one.
+    ``distortion_tol`` is relative to the distortion budget ``D`` and
+    ``perception_tol`` to the perception budget ``P``, so a small budget is
+    met to the same number of digits as a large one.
     """
 
     distortion_tol: float = 1e-9
@@ -231,7 +232,7 @@ def _dual_search(
     cfg: SolverConfig,
 ) -> RdpSolution:
     lam = s.lambdas
-    tol_d = cfg.distortion_tol * s.total_variance
+    tol_d = cfg.distortion_tol * D
     tol_p = cfg.perception_tol * P
     # nu1 carries units of 1/distortion, and so does nu2 under W2, whose
     # budget is a squared distance; the KL budget is dimensionless
@@ -342,62 +343,34 @@ def _perfect_perception_interior(s: SourceSpectrum, D: float) -> RdpSolution:
     ``log(distortion/D)`` when ``D`` is at most the total variance and on
     ``log(shortfall_D/shortfall)`` above it: the first is concave and the
     second convex in ``x``, and each starts on the side of the root from
-    which Newton's steps do not overshoot.  A bisection step inside the
-    sign bracket replaces any step that leaves it.
+    which Newton's steps do not overshoot.  :func:`rootfind.bisect_root`
+    runs the iteration.
     """
     lam = s.lambdas
     two_lam = 2.0 * lam
     total = s.total_variance
-
-    def distortion(z: np.ndarray, h: np.ndarray) -> float:
-        return float((two_lam * (1.0 + 1.0 / (h + z)) / (1.0 + h)).sum())
-
     low = D <= total
     if low:
         # the distortion is at most L/(2 nu1), so this start lies right of
         # the root
-        x = math.log(lam.size / (2.0 * D))
+        x0 = math.log(lam.size / (2.0 * D))
     else:
         # the shortfall is at most 4 nu1 sum(lam^2): a start left of the root
         short_d = 2.0 * total - D
-        x = math.log(short_d / (4.0 * float((lam * lam).sum())))
-    lo, hi = -math.inf, math.inf
-    for _ in range(_P0_MAX_ITER):
+        x0 = math.log(short_d / (4.0 * float((lam * lam).sum())))
+
+    def excess(x: float) -> tuple[float, float]:
         z = (4.0 * math.exp(x)) * lam
         h = np.hypot(1.0, z)
         c = two_lam * z / (1.0 + h)
         slope = float((c / h).sum())
         if low:
-            dist = distortion(z, h)
-            f = math.log(dist / D)
-            step = f * dist / slope
-        else:
-            short = float(c.sum())
-            f = math.log(short_d / short)
-            step = f * short / slope
-        # f falls as x grows
-        if f > 0.0:
-            lo = x
-        elif f < 0.0:
-            hi = x
-        else:
-            break
-        nxt = x + step
-        tol = 1e-14 * max(1.0, abs(x))
-        if abs(step) <= tol:
-            x = nxt
-            break
-        if not lo < nxt < hi:
-            nxt = 0.5 * (lo + hi)
-            if hi - lo <= tol:
-                x = nxt
-                break
-        x = nxt
-    else:
-        raise ConvergenceError(
-            "perfect-perception multiplier iteration budget exhausted",
-            iterations=_P0_MAX_ITER, nu1=math.exp(x),
-        )
+            dist = float((two_lam * (1.0 + 1.0 / (h + z)) / (1.0 + h)).sum())
+            return math.log(dist / D), -slope / dist
+        short = float(c.sum())
+        return math.log(short_d / short), -slope / short
+
+    x = bisect_root(excess, x0)
     nu1 = math.exp(x)
     z = (4.0 * nu1) * lam
     # the gap lam - gamma = lam*z^2/(1+h)^2 keeps rates far below 1e-16
@@ -408,17 +381,13 @@ def _perfect_perception_interior(s: SourceSpectrum, D: float) -> RdpSolution:
     )
 
 
-def solve_perfect_perception(
-    s: SourceSpectrum, D: float, cfg: SolverConfig | None = None
-) -> RdpSolution:
+def solve_perfect_perception(s: SourceSpectrum, D: float) -> RdpSolution:
     """Rate under a perception budget of exactly zero.
 
     Every reconstruction variance is pinned to its source variance, leaving
     a single multiplier found by a Newton iteration on the distortion
     equation. For ``D >= 2*sum(lambdas)`` (the zero-rate ceiling) a rate-zero
-    solution is returned, flagged ``DistortionInactive``.  The search has
-    no tolerance to tune, so ``cfg`` is accepted for a signature shared
-    with :func:`solve` and otherwise ignored.
+    solution is returned, flagged ``DistortionInactive``.
 
     Raises
     ------

@@ -434,6 +434,17 @@ def test_exit_codes_for_bad_input(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("flag", ["--tol-distortion", "--tol-perception"])
+def test_zero_tolerance_is_rejected(capsys, flag):
+    argv = ["point", "--lambdas", "3,2,1", "--metric", "kl", "--distortion", "2",
+            "--perception", "0.05"]
+    assert main(argv + [flag, "1e-8"]) == 0
+    capsys.readouterr()
+    # a zero must reach the solver configuration, not fall back to the default
+    assert main(argv + [flag, "0"]) == 1
+    assert "tolerances must be positive" in capsys.readouterr().err
+
+
 def test_output_file_written(tmp_path):
     out = tmp_path / "point.json"
     code = main(

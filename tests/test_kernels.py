@@ -18,10 +18,38 @@ import pytest
 from gaussian_rdp import kernels
 from gaussian_rdp.errors import DomainError, DualDegenerateError
 from gaussian_rdp.model import PerceptionMetric
-from gaussian_rdp.rootfind import bisect_root
 
 # ---------------------------------------------------------------------------
 # Scalar references
+
+
+def _bisect(f, lo, hi, f_lo=None, f_hi=None):
+    """Root of ``f`` on the sign-change bracket ``[lo, hi]`` by plain bisection.
+
+    Endpoint values may be given when an endpoint is not safely evaluable;
+    only their signs are used.  Stops once ``hi - lo <= 1e-14*max(|lo|,
+    |hi|)`` or the midpoint meets an endpoint, and fails after 200 halvings.
+    """
+    f_lo = f(lo) if f_lo is None else f_lo
+    f_hi = f(hi) if f_hi is None else f_hi
+    if f_lo == 0.0:
+        return lo
+    if f_hi == 0.0:
+        return hi
+    s_lo = math.copysign(1.0, f_lo)
+    assert s_lo != math.copysign(1.0, f_hi), "no sign change over bracket"
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if hi - lo <= 1e-14 * max(abs(lo), abs(hi)) or not lo < mid < hi:
+            return mid
+        f_mid = f(mid)
+        if f_mid == 0.0:
+            return mid
+        if math.copysign(1.0, f_mid) == s_lo:
+            lo = mid
+        else:
+            hi = mid
+    raise AssertionError("bisection did not converge in 200 halvings")
 
 
 def _check_lambda(lam):
@@ -90,7 +118,7 @@ def stationary_gamma_kl(lam, nu1, nu2):
         return (a * g + b) * g + c
 
     # endpoint signs are known analytically: h(0) = c > 0, h(lam) = -2*nu1^2*lam^2*nu2 < 0
-    root = bisect_root(h, 0.0, lam, f_lo=c, f_hi=-2.0 * nu1 * nu1 * lam * lam * nu2)
+    root = _bisect(h, 0.0, lam, f_lo=c, f_hi=-2.0 * nu1 * nu1 * lam * lam * nu2)
     for _ in range(3):
         slope = 2.0 * a * root + b
         if slope == 0.0:
@@ -223,7 +251,7 @@ def theta_fixed_point_w2(lam, nu1, nu2):
         return w2_balance_slope(lam, nu1, nu2, t)
 
     hi = min(1.0, cap)
-    root = bisect_root(g, 0.0, hi, f_lo=-1.0)
+    root = _bisect(g, 0.0, hi, f_lo=-1.0)
     for _ in range(4):
         candidate = root - g(root) / g_prime(root)
         if 0.0 < candidate < hi and abs(g(candidate)) <= abs(g(root)):

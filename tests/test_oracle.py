@@ -74,6 +74,30 @@ def test_scalar_rd_example():
     assert res.newton_steps > 0
 
 
+def test_no_barrier_stage_runs_to_its_cap(monkeypatch):
+    # query 0 of the solver's wide-range fuzz recipe (D/tr = 1.5e-6): once
+    # the Newton decrement sat just above its threshold, every accepted step
+    # left the barrier value unchanged and two stages ran to the cap
+    lam = np.array([
+        23255.826681197683, 0.33446655565403627, 2.3557449744368935,
+        2798.2533734964823, 1.8395359991191307, 21.48956798061472,
+    ])
+    q = TradeoffQuery(0.03890093509935501, 0.0006970915510164051, PerceptionMetric.KL)
+    stage_steps = []
+    stage = oracle._minimize_stage
+
+    def recorded(problem, x, mu):
+        x, steps = stage(problem, x, mu)
+        stage_steps.append(steps)
+        return x, steps
+
+    monkeypatch.setattr(oracle, "_minimize_stage", recorded)
+    res = oracle.minimize_primal(SourceSpectrum(lam), q)
+    assert stage_steps and max(stage_steps) < oracle._MAX_STAGE_ITERATIONS
+    ref = solver.solve(SourceSpectrum(lam), q).total_rate
+    assert abs(res.rate - ref) <= 1e-6 * ref
+
+
 def test_w2_tiny_budget_approximates_perfect_perception():
     res = oracle.minimize_primal(
         spectrum(1.0), TradeoffQuery(1.0, 1e-10, PerceptionMetric.W2)

@@ -372,15 +372,15 @@ def test_convergence_error_carries_diagnostics():
         assert key in diag
 
 
-def wide_fuzz_queries(count):
+def wide_fuzz_queries(count, seed=1):
     """The first ``count`` queries of the wide-range fuzz recipe.
 
     L uniform in [1, 11]; eigenvalues log-uniform over a spread of up to
     1e8 times a scale log-uniform in [1e-4, 1e4]; D/tr log-uniform in
     [1e-6, 2]; P = 0 with probability 0.1, else log-uniform in [1e-8, 10]
-    (times tr for W2); KL and W2 alternate.
+    (times tr for W2); KL and W2 alternate; ``seed`` seeds the generator.
     """
-    rng = np.random.default_rng(1)
+    rng = np.random.default_rng(seed)
     out = []
     for i in range(count):
         dim = int(rng.integers(1, 12))
@@ -428,6 +428,15 @@ def test_rest_of_the_fuzz_recipe_meets_its_budgets():
         if sol.achieved_distortion > D * (1.0 + 1e-6) or sol.achieved_perception > P * (1.0 + 1e-6):
             failed.append(f"q{i}")
     assert failed == []
+
+
+def test_distortion_budget_is_met_relative_to_itself():
+    # recipe seed 6, q158: D is 2.5% of the total variance, so a tolerance
+    # relative to the total let the distortion exceed D by 1.6e-8 of D
+    lam, D, P, metric = wide_fuzz_queries(159, seed=6)[158]
+    sol = solver.solve(SourceSpectrum(lam), TradeoffQuery(D, P, metric))
+    assert sol.case_tag is SolutionCase.BOTH_ACTIVE
+    assert sol.achieved_distortion <= D * (1.0 + 1.01e-9)
 
 
 # Spectrum of a 16 x 16 square-Wishart covariance (benchmark seed 208).
