@@ -318,13 +318,13 @@ def run_curve(cfg: RunConfig) -> CurveSweep:
         try:
             q = _build_query(d, p, cfg.metric)
         except (NonPositiveDistortionError, DomainError):
-            return None, None, "infeasible"
+            return None, "infeasible"
         try:
-            return q, solve(s, q, cfg.solver), None
+            return solve(s, q, cfg.solver), None
         except OutOfRangeError:
-            return q, None, "infeasible"
+            return None, "infeasible"
         except ConvergenceError:
-            return q, None, "convergence_failure"
+            return None, "convergence_failure"
 
     if cfg.jobs == 1:
         results = [eval_one(pair) for pair in pairs]
@@ -342,9 +342,8 @@ def run_curve(cfg: RunConfig) -> CurveSweep:
         distortions=tuple(d for d, _ in pairs),
         perceptions=tuple(p for _, p in pairs),
         metric=cfg.metric,
-        queries=tuple(q for q, _, _ in results),
-        solutions=tuple(sol for _, sol, _ in results),
-        failures=tuple(tag for _, _, tag in results),
+        solutions=tuple(sol for sol, _ in results),
+        failures=tuple(tag for _, tag in results),
         metadata=metadata,
     )
 
@@ -430,7 +429,6 @@ def curve_from_csv(text: str) -> CurveSweep:
     metric = PerceptionMetric.from_name(metadata.get("metric", "none"))
     distortions: list[float] = []
     perceptions: list[float] = []
-    queries: list[TradeoffQuery | None] = []
     solutions: list[RdpSolution | None] = []
     failures: list[str | None] = []
     for offset, row in enumerate(rows):
@@ -449,10 +447,6 @@ def curve_from_csv(text: str) -> CurveSweep:
         row_metric = PerceptionMetric.from_name(row[2])
         tag = row[4]
         if tag in ("infeasible", "convergence_failure"):
-            try:
-                queries.append(_build_query(d, p, row_metric))
-            except (NonPositiveDistortionError, DomainError):
-                queries.append(None)
             solutions.append(None)
             failures.append(tag)
             continue
@@ -478,13 +472,13 @@ def curve_from_csv(text: str) -> CurveSweep:
                 achieved_perception=ap,
             )
         )
-        queries.append(_build_query(d, p, row_metric))
+        # a solved row must carry budgets that form a valid query
+        _build_query(d, p, row_metric)
         failures.append(None)
     return CurveSweep(
         distortions=tuple(distortions),
         perceptions=tuple(perceptions),
         metric=metric,
-        queries=tuple(queries),
         solutions=tuple(solutions),
         failures=tuple(failures),
         metadata=metadata,
@@ -679,7 +673,6 @@ def main(argv: list[str] | None = None) -> int:
                     distortions=(q.distortion_budget,),
                     perceptions=(q.perception_budget,),
                     metric=cfg.metric,
-                    queries=(q,),
                     solutions=(sol,),
                     failures=(None,),
                     metadata={"metric": cfg.metric.value, "rate_unit": cfg.rate_unit},

@@ -235,25 +235,24 @@ class KktResiduals:
 
 @dataclass(frozen=True)
 class CurveSweep:
-    """Aligned grid of queries and solutions from a curve evaluation.
+    """Aligned grid of budgets and solutions from a curve evaluation.
 
     ``distortions`` and ``perceptions`` hold the raw grid values for every
-    row, including rows whose budgets form no valid query; for those the
-    aligned ``queries``/``solutions`` entries are ``None`` and ``failures``
-    records why (``"infeasible"`` or ``"convergence_failure"``).
+    row, including rows whose budgets form no valid query; for failed rows
+    the aligned ``solutions`` entry is ``None`` and ``failures`` records
+    why (``"infeasible"`` or ``"convergence_failure"``).
     """
 
     distortions: tuple[float, ...]
     perceptions: tuple[float, ...]
     metric: PerceptionMetric
-    queries: tuple[Optional[TradeoffQuery], ...]
     solutions: tuple[Optional[RdpSolution], ...]
     failures: tuple[Optional[str], ...]
     metadata: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         n = len(self.distortions)
-        for name in ("perceptions", "queries", "solutions", "failures"):
+        for name in ("perceptions", "solutions", "failures"):
             if len(getattr(self, name)) != n:
                 raise DomainError(f"sweep field {name} misaligned with grid")
 

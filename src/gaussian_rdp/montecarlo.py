@@ -8,10 +8,11 @@ divergences and mutual information are evaluated analytically from the
 construction; estimating them from samples would introduce estimator bias
 with no bearing on what is being verified.
 
-Sampling is deterministic across platforms and partitionings: every draw
-is derived from a 64-bit counter mixed SplitMix64-style with a key built
-from (seed, stream), so per-component streams are independent and block
-boundaries cannot change the values drawn.
+Sampling is reproducible: each (seed, stream) seeds its own numpy
+``Generator`` (both taken modulo 2**64), so the same seed, stream and numpy
+version draw the same values, and per-component streams are independent.
+The normals are drawn in rows, row ``i`` holding sample ``i``'s pair, so
+block boundaries do not change which values each sample gets.
 """
 
 from __future__ import annotations
@@ -35,46 +36,7 @@ __all__ = [
 ]
 
 _MASK = (1 << 64) - 1
-_PHI = np.uint64(0x9E3779B97F4A7C15)
-_MIX1 = np.uint64(0xBF58476D1CE4E5B9)
-_MIX2 = np.uint64(0x94D049BB133111EB)
 _BLOCK = 1 << 16
-
-
-def _mix(x):
-    """SplitMix64 finalizer; accepts uint64 scalars or arrays.
-
-    Wraparound modulo 2**64 is the intended arithmetic here.
-    """
-    with np.errstate(over="ignore"):
-        x = (x ^ (x >> np.uint64(30))) * _MIX1
-        x = (x ^ (x >> np.uint64(27))) * _MIX2
-        return x ^ (x >> np.uint64(31))
-
-
-def _stream_key(seed: int, stream: int) -> np.uint64:
-    base = np.uint64((seed & _MASK))
-    tag = _mix(np.uint64(stream & _MASK) + _PHI)
-    return _mix(base ^ tag)
-
-
-def _normal_pairs(key: np.uint64, first_sample: int, count: int):
-    """Two independent standard normal arrays via Box-Muller.
-
-    Counters 2i and 2i+1 both belong to sample ``i``, so any partition of
-    the sample range draws identical values.
-    """
-    idx = np.arange(first_sample, first_sample + count, dtype=np.uint64)
-    with np.errstate(over="ignore"):
-        c1 = key + (np.uint64(2) * idx + np.uint64(1)) * _PHI
-        c2 = key + (np.uint64(2) * idx + np.uint64(2)) * _PHI
-    bits1 = _mix(c1)
-    bits2 = _mix(c2)
-    u1 = ((bits1 >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0**-53
-    u2 = ((bits2 >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0**-53
-    radius = np.sqrt(-2.0 * np.log(u1))
-    angle = 2.0 * math.pi * u2
-    return radius * np.cos(angle), radius * np.sin(angle)
 
 
 @dataclass(frozen=True)
@@ -139,16 +101,14 @@ def build_pair(lam: float, gamma: float, lambda_hat: float) -> JointGaussianPair
 def _lower_factor(pair: JointGaussianPair):
     """Closed-form 2x2 Cholesky factor of the pair covariance."""
     lam, gamma, lam_hat = pair.lam, pair.gamma, pair.lambda_hat
-    # Schur complement lambda_hat - c^2/lam = lambda_hat*gamma/lam >= 0
+    # Schur complement lambda_hat - c^2/lam = lambda_hat*gamma/lam; for any
+    # pair build_pair accepts both radicands are products of nonnegative
+    # floats, so a negative one is an inconsistent pair, not rounding
     rad21 = lam_hat * (lam - gamma) / lam
     rad22 = lam_hat * gamma / lam
-    if rad21 < -1e-12 * max(lam_hat, 1.0) or rad22 < -1e-12 * max(lam_hat, 1.0):
+    if rad21 < 0.0 or rad22 < 0.0:
         raise NotPsdError(f"pair covariance is not factorable: {pair.cov!r}")
-    return (
-        math.sqrt(lam),
-        math.sqrt(max(rad21, 0.0)),
-        math.sqrt(max(rad22, 0.0)),
-    )
+    return math.sqrt(lam), math.sqrt(rad21), math.sqrt(rad22)
 
 
 def sample_and_measure(
@@ -165,13 +125,13 @@ def sample_and_measure(
     DomainError
         If ``n < 1000``.
     NotPsdError
-        If the closed-form factorization meets a negative radicand beyond
-        rounding tolerance.
+        If the closed-form factorization meets a negative radicand.
     """
     if n < 1000:
         raise DomainError(f"need at least 1000 samples, got {n}")
     l11, l21, l22 = _lower_factor(pair)
-    key = _stream_key(seed, stream)
+    # numpy.random is imported on first use, not with the package
+    rng = np.random.default_rng([seed & _MASK, stream & _MASK])
 
     sum_d = 0.0
     sum_d2 = 0.0
@@ -182,7 +142,7 @@ def sample_and_measure(
     done = 0
     while done < n:
         count = min(_BLOCK, n - done)
-        n0, n1 = _normal_pairs(key, done, count)
+        n0, n1 = rng.standard_normal((count, 2)).T
         z = l11 * n0
         zh = l21 * n0 + l22 * n1
         d = (z - zh) ** 2

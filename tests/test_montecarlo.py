@@ -1,8 +1,9 @@
 """Tests for the sampling-based verification layer.
 
-The sampler is deterministic by construction, so the statistical
-assertions here are exact regressions for the seeds used, not flaky
-checks.
+The sampler draws the same values for the same seed, stream and numpy
+version, so the statistical assertions here are fixed regressions for the
+seeds used, not flaky checks.  Each is a 4-standard-error bound, which a
+correct sampler misses with probability about 6e-5 on any other draw.
 """
 
 import dataclasses
@@ -16,6 +17,7 @@ from gaussian_rdp import (
     PerceptionMetric,
     SourceSpectrum,
     TradeoffQuery,
+    montecarlo,
     reverse_waterfill,
     solve,
     solve_perfect_perception,
@@ -96,10 +98,14 @@ def test_sample_and_measure_rejects_small_n():
         sample_and_measure(pair, 999, 0)
 
 
-def test_not_psd_guard_on_inconsistent_pair():
-    # bypass build_pair validation on purpose
-    cov = np.array([[1.0, 2.0], [2.0, 1.0]])
-    pair = JointGaussianPair(cov=cov, lam=1.0, gamma=2.0, lambda_hat=1.0)
+@pytest.mark.parametrize("scale", [1.0, 1e-6, 1e-9])
+def test_not_psd_guard_on_inconsistent_pair(scale):
+    # bypass build_pair validation on purpose: gamma just above lam leaves
+    # a radicand of -1e-7*scale, which an absolute tolerance would accept
+    lam = scale
+    gamma = (1.0 + 1e-7) * lam
+    cov = np.array([[lam, 0.0], [0.0, lam]])
+    pair = JointGaussianPair(cov=cov, lam=lam, gamma=gamma, lambda_hat=lam)
     with pytest.raises(NotPsdError):
         sample_and_measure(pair, 1000, 0)
 
@@ -160,6 +166,26 @@ def test_streams_and_seeds_are_independent():
     assert base.empirical_distortion != other_seed.empirical_distortion
     assert base.empirical_distortion != other_stream.empirical_distortion
     assert other_seed.empirical_distortion != other_stream.empirical_distortion
+
+
+def test_block_size_does_not_change_the_draws(monkeypatch):
+    # row i holds sample i's pair, so only the summation order moves
+    pair = build_pair(1.0, 0.5, 0.5)
+    n = 100_003
+    ref = sample_and_measure(pair, n, 7, stream=3)
+    monkeypatch.setattr(montecarlo, "_BLOCK", 1000)
+    small = sample_and_measure(pair, n, 7, stream=3)
+    for field in ("empirical_distortion", "standard_error"):
+        a, b = getattr(ref, field), getattr(small, field)
+        assert abs(a - b) <= 1e-14 * abs(a)
+
+
+def test_negative_seed_draws_as_its_residue():
+    pair = build_pair(1.0, 0.5, 0.5)
+    neg = sample_and_measure(pair, 10**4, -5, stream=2)
+    pos = sample_and_measure(pair, 10**4, 2**64 - 5, stream=2)
+    assert neg.seed == -5
+    assert dataclasses.replace(neg, seed=pos.seed) == pos
 
 
 def test_analytic_stats_anchors():
