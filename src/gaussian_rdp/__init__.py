@@ -15,7 +15,6 @@ from .errors import (
     DimensionZeroError,
     DomainError,
     DualDegenerateError,
-    InfeasibleSeedError,
     LineSearchError,
     NonPositiveDistortionError,
     NotPsdError,
@@ -77,7 +76,6 @@ __all__ = [
     "DualDegenerateError",
     "DualPoint",
     "EigenDecomposition",
-    "InfeasibleSeedError",
     "JointGaussianPair",
     "KktResiduals",
     "LineSearchError",

@@ -60,7 +60,7 @@ from .model import (
     from_covariance,
 )
 from .montecarlo import verify_solution
-from .oracle import minimize_primal, minimize_primal_p0
+from .oracle import minimize_primal
 from .solver import SolverConfig, solve
 
 __all__ = [
@@ -521,10 +521,7 @@ def run_verify(cfg: RunConfig) -> dict:
         oracle_steps = 0
         oracle_method = "trivial_zero_rate"
     else:
-        if q.perception_budget == 0.0:
-            res = minimize_primal_p0(s, q.distortion_budget)
-        else:
-            res = minimize_primal(s, q)
+        res = minimize_primal(s, q)
         oracle_rate = res.rate
         oracle_steps = res.newton_steps
         oracle_method = "barrier"

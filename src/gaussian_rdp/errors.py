@@ -20,7 +20,6 @@ __all__ = [
     "OutOfRangeError",
     "ConvergenceError",
     "LineSearchError",
-    "InfeasibleSeedError",
 ]
 
 
@@ -70,7 +69,3 @@ class ConvergenceError(RdpError, RuntimeError):
 
 class LineSearchError(ConvergenceError):
     """A backtracking line search collapsed without sufficient decrease."""
-
-
-class InfeasibleSeedError(RdpError):
-    """No strictly interior starting point was found by deterministic probing."""

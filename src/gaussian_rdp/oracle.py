@@ -19,6 +19,14 @@ A perception budget of exactly zero is the same program with every
 reconstruction variance pinned to its source variance; the barrier
 problem then runs over the L water levels alone.
 
+Every run starts at one closed-form interior point: water levels
+``lam * min(1/2, D / (2 tr))``, with ``tr`` the total variance, and every
+reconstruction variance at its source variance.  A component's
+distortion there is ``gamma + (sqrt(lam) - sqrt(lam - gamma))**2``, at
+most ``1.172 * gamma`` for ``gamma <= lam/2``, so the total distortion is
+at most ``0.586 * min(D, tr) < D``, and the perception loss is zero, below
+any positive budget.
+
 A stage ends when the squared Newton decrement ``-grad @ direction``
 reaches 1e-12 (Boyd & Vandenberghe, *Convex Optimization*, sections 9.5
 and 11.3).  The decrement is affine-invariant, so the stopping point, the
@@ -41,12 +49,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    DomainError,
-    InfeasibleSeedError,
-    LineSearchError,
-    OutOfRangeError,
-)
+from .errors import DomainError, LineSearchError, OutOfRangeError
 from .model import PerceptionMetric, SourceSpectrum, TradeoffQuery
 
 __all__ = [
@@ -65,7 +68,6 @@ _ARMIJO_C = 1e-4
 _MAX_BACKTRACKS = 60
 _MAX_STAGE_ITERATIONS = 120
 _DECREMENT_TOL = 1e-12
-_SEED_HALVINGS = 20
 
 
 @dataclass(frozen=True)
@@ -153,30 +155,38 @@ class _BarrierProblem:
         n = self.lam.size
         return x[:n], x[n:]
 
-    def feasible(self, x) -> bool:
+    def slacks(self, x):
+        """Distortion and perception budget slacks at ``x``.
+
+        The perception slack is ``inf`` when there is no perception
+        barrier.  Returns ``None`` unless ``x`` is strictly interior.
+        """
         gammas, hats = self.split(x)
         if not (np.all(gammas > 0.0) and np.all(gammas < self.lam)):
-            return False
+            return None
         if not np.all(hats > 0.0):
-            return False
-        if float(np.sum(_distortion_terms(self.lam, gammas, hats))) >= self.D:
-            return False
+            return None
+        sd = self.D - float(np.sum(_distortion_terms(self.lam, gammas, hats)))
+        if not sd > 0.0:
+            return None
+        sp = math.inf
         if self.has_perception:
-            perc = float(np.sum(_perception_terms(self.lam, hats, self.metric)))
-            if perc >= self.P:
-                return False
-        return True
+            sp = self.P - float(np.sum(_perception_terms(self.lam, hats, self.metric)))
+            if not sp > 0.0:
+                return None
+        return sd, sp
 
     def objective(self, x) -> float:
         gammas, _ = self.split(x)
         return float(0.5 * np.sum(np.log(self.lam / gammas)))
 
     def value(self, x, mu: float) -> float:
-        if not self.feasible(x):
+        slacks = self.slacks(x)
+        if slacks is None:
             return math.inf
+        sd, sp = slacks
         gammas, hats = self.split(x)
         lam = self.lam
-        sd = self.D - float(np.sum(_distortion_terms(lam, gammas, hats)))
         logs = (
             math.log(sd)
             + float(np.sum(np.log(gammas)))
@@ -186,16 +196,16 @@ class _BarrierProblem:
             logs += float(np.sum(np.log(hats)))
         total = self.objective(x) - mu * logs
         if self.has_perception:
-            sp = self.P - float(np.sum(_perception_terms(lam, hats, self.metric)))
             total -= mu * math.log(sp)
         return total
 
     def derivatives(self, x, mu: float):
-        """Gradient and Hessian of the barrier function at ``x``."""
+        """Gradient and Hessian of the barrier function at a strictly
+        interior ``x``."""
+        sd, sp = self.slacks(x)
         gammas, hats = self.split(x)
         lam = self.lam
         gap = lam - gammas
-        sd = self.D - float(np.sum(_distortion_terms(lam, gammas, hats)))
         d_gamma = np.sqrt(hats / gap)
         g_gamma = -0.5 / gammas + (mu / sd) * d_gamma - mu / gammas + mu / gap
         # objective and box curvature, then the curvature of the distortion
@@ -222,7 +232,6 @@ class _BarrierProblem:
         a = np.concatenate([d_gamma, d_hat])
         hess += (mu / sd**2) * np.outer(a, a)
         if self.has_perception:
-            sp = self.P - float(np.sum(_perception_terms(lam, hats, self.metric)))
             ph = _perception_partials(lam, hats, self.metric)
             g_hat = g_hat + (mu / sp) * ph
             hess[idx + n, idx + n] += (mu / sp) * _perception_curvatures(
@@ -284,19 +293,20 @@ def _minimize_stage(problem: _BarrierProblem, x, mu: float):
     return x, _MAX_STAGE_ITERATIONS
 
 
-def _probe_seed(problem: _BarrierProblem, x0):
-    """Halve the water levels until strictly feasible, a bounded number of times."""
-    x = x0.copy()
-    n = problem.lam.size
-    for _ in range(_SEED_HALVINGS):
-        if problem.feasible(x):
-            return x
-        x[:n] *= 0.5
-    if problem.feasible(x):
-        return x
-    raise InfeasibleSeedError(
-        "no strictly interior starting point found by deterministic probing"
-    )
+def _interior_start(problem: _BarrierProblem):
+    """The closed-form strictly interior start (see the module docstring).
+
+    Raises
+    ------
+    DomainError
+        If under- or overflow leaves the start outside the interior.
+    """
+    lam = problem.lam
+    gammas = lam * min(0.5, problem.D / (2.0 * float(np.sum(lam))))
+    x = gammas if problem.pinned else np.concatenate([gammas, lam])
+    if problem.slacks(x) is None:
+        raise DomainError("the closed-form barrier start is not strictly interior")
+    return x
 
 
 def _run_barrier(problem: _BarrierProblem, x):
@@ -310,7 +320,24 @@ def _run_barrier(problem: _BarrierProblem, x):
         mu = max(mu * MU_SHRINK, MU_FINAL)
 
 
-def _oracle_result(problem: _BarrierProblem, x, steps: int) -> OracleResult:
+def minimize_primal(s: SourceSpectrum, q: TradeoffQuery) -> OracleResult:
+    """Direct barrier minimization of the two-budget rate program.
+
+    A perception budget of exactly zero pins every reconstruction variance
+    to its source variance, and the search runs over the water levels
+    alone.
+
+    Raises
+    ------
+    DomainError
+        If under- or overflow leaves the closed-form start outside the
+        interior.
+    LineSearchError
+        If no backtrack of a barrier Newton step decreases the barrier
+        function enough.
+    """
+    problem = _BarrierProblem(s, q.distortion_budget, q.perception_budget, q.metric)
+    x, steps = _run_barrier(problem, _interior_start(problem))
     gammas, hats = problem.split(x)
     return OracleResult(
         rate=problem.objective(x),
@@ -319,44 +346,8 @@ def _oracle_result(problem: _BarrierProblem, x, steps: int) -> OracleResult:
     )
 
 
-def minimize_primal(
-    s: SourceSpectrum, q: TradeoffQuery, seed_point: PrimalPoint | None = None
-) -> OracleResult:
-    """Direct barrier minimization of the two-budget rate program.
-
-    Requires a strictly positive (or unconstrained) perception budget; an
-    exactly zero budget makes the divergence barrier singular and is served
-    by :func:`minimize_primal_p0` instead.
-
-    Raises
-    ------
-    InfeasibleSeedError
-        If deterministic probing finds no strictly interior start.
-    LineSearchError
-        If no backtrack of a barrier Newton step decreases the barrier
-        function enough.
-    """
-    if q.perception_budget == 0.0:
-        raise DomainError(
-            "a zero perception budget is handled by minimize_primal_p0"
-        )
-    problem = _BarrierProblem(s, q.distortion_budget, q.perception_budget, q.metric)
-    if seed_point is not None and seed_point.gammas.size == s.lambdas.size:
-        x0 = np.concatenate([seed_point.gammas, seed_point.lambda_hats])
-        if not problem.feasible(x0):
-            x0 = np.concatenate([0.5 * s.lambdas, s.lambdas.copy()])
-    else:
-        x0 = np.concatenate([0.5 * s.lambdas, s.lambdas.copy()])
-    x, steps = _run_barrier(problem, _probe_seed(problem, x0))
-    return _oracle_result(problem, x, steps)
-
-
 def minimize_primal_p0(s: SourceSpectrum, D: float) -> OracleResult:
-    """Barrier minimization with every reconstruction variance pinned.
-
-    Under a perception budget of exactly zero the optimal reconstruction
-    variances equal the source variances, so the search runs over the water
-    levels alone and the singular perception barrier never appears.
+    """:func:`minimize_primal` under a perception budget of exactly zero.
 
     Raises
     ------
@@ -368,9 +359,7 @@ def minimize_primal_p0(s: SourceSpectrum, D: float) -> OracleResult:
         raise OutOfRangeError(
             f"distortion budget must lie in (0, {ceiling}), got {D!r}"
         )
-    problem = _BarrierProblem(s, D, 0.0, PerceptionMetric.UNCONSTRAINED)
-    x, steps = _run_barrier(problem, _probe_seed(problem, 0.5 * s.lambdas))
-    return _oracle_result(problem, x, steps)
+    return minimize_primal(s, TradeoffQuery(D, 0.0, PerceptionMetric.W2))
 
 
 def check_gradients(

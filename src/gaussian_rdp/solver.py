@@ -86,15 +86,12 @@ class SolverConfig:
     distortion_tol: float = 1e-9
     perception_tol: float = 1e-9
     max_dual_iterations: int = 500
-    dual_step_init: float = 1.0
 
     def __post_init__(self) -> None:
         if not (self.distortion_tol > 0.0 and self.perception_tol > 0.0):
             raise DomainError("tolerances must be positive")
         if self.max_dual_iterations < 1:
             raise DomainError("iteration budget must be at least 1")
-        if not self.dual_step_init > 0.0:
-            raise DomainError("initial dual step must be positive")
 
 
 class _DualState:
@@ -239,7 +236,7 @@ def _dual_search(
     nu1 = lam.size / (2.0 * D)
     nu = np.array([nu1, nu1 if metric is PerceptionMetric.W2 else 1.0])
     state = _evaluate_dual(lam, nu[0], nu[1], metric, D, P)
-    step = cfg.dual_step_init
+    step = 1.0
     for iteration in range(cfg.max_dual_iterations):
         if abs(state.slack_d) <= tol_d and abs(state.slack_p) <= tol_p:
             break
@@ -305,7 +302,7 @@ def solve(
 
     Regimes are detected in the order zero-rate feasible, perception
     inactive, both active; see the module docstring. A perception budget of
-    exactly zero is routed to :func:`solve_perfect_perception`.
+    exactly zero takes the single-multiplier path described there.
 
     Raises
     ------
@@ -382,7 +379,8 @@ def _perfect_perception_interior(s: SourceSpectrum, D: float) -> RdpSolution:
 
 
 def solve_perfect_perception(s: SourceSpectrum, D: float) -> RdpSolution:
-    """Rate under a perception budget of exactly zero.
+    """Rate under a perception budget of exactly zero: the P = 0 query of
+    :func:`solve`.
 
     Every reconstruction variance is pinned to its source variance, leaving
     a single multiplier found by a Newton iteration on the distortion
@@ -396,9 +394,7 @@ def solve_perfect_perception(s: SourceSpectrum, D: float) -> RdpSolution:
     """
     if not (D > 0.0) or not math.isfinite(D):
         raise OutOfRangeError(f"distortion budget must be positive and finite, got {D!r}")
-    if D >= 2.0 * s.total_variance:
-        return _zero_rate_solution(s, s.lambdas, PerceptionMetric.W2, D, 0.0)
-    return _perfect_perception_interior(s, D)
+    return solve(s, TradeoffQuery(D, 0.0, PerceptionMetric.W2))
 
 
 def high_distortion_p0_estimate(

@@ -81,7 +81,6 @@ def test_config_validation():
         {"distortion_tol": 0.0},
         {"perception_tol": -1e-9},
         {"max_dual_iterations": 0},
-        {"dual_step_init": 0.0},
     ):
         with pytest.raises(DomainError):
             solver.SolverConfig(**kwargs)
@@ -92,7 +91,6 @@ def test_config_defaults():
     assert cfg.distortion_tol == 1e-9
     assert cfg.perception_tol == 1e-9
     assert cfg.max_dual_iterations == 500
-    assert cfg.dual_step_init == 1.0
 
 
 @pytest.mark.parametrize("lam,metric,D,P,nu1,nu2,gamma,rate", FROZEN_POINTS)
