@@ -10,6 +10,13 @@ upper box ``gamma = lambda``):
     lambda_hat (W2):  nu1*(1 - sqrt((lam-gamma)/lambda_hat))
                       + nu2*(1 - sqrt(lam/lambda_hat)) = 0
 
+The stationarity residuals are reported free of the source's units: the
+gamma condition is multiplied by ``2*gamma``, so a coded component reports
+``1 - 2*gamma*nu1*sqrt(lambda_hat/(lam-gamma))``, and the lambda_hat
+condition by ``lambda_hat``.  Scaling the source leaves them unchanged, so
+one threshold means the same at every scale; their rounding is relative to
+one, not to ``1/(2*gamma)``.
+
 At box corners the ratios are evaluated in their matched-vanishing limit
 (``lambda_hat`` and ``lam-gamma`` reaching zero together have ratio one),
 ``xi`` is set to whatever value closes the condition, and a negative
@@ -49,13 +56,13 @@ def residuals(
     h = np.asarray(lambda_hats, dtype=float)
     coded = gap > 0.0
     with np.errstate(divide="ignore", invalid="ignore"):
-        res_g = 0.5 / g - nu1 * np.sqrt(h / gap)
+        res_g = 1.0 - 2.0 * g * nu1 * np.sqrt(h / gap)
         # a saturated component takes the pull nu1 at matched vanishing
         # (ratio one), none without a distortion multiplier, and an
         # unbounded one toward a positive reconstruction variance
         pull = np.where(h == 0.0, nu1, 0.0 if nu1 == 0.0 else math.inf)
         xi = np.where(coded, 0.0, 0.5 / g - pull)
-        res_g = np.where(coded, res_g, np.minimum(xi, 0.0))
+        res_g = np.where(coded, res_g, np.minimum(2.0 * g * xi, 0.0))
         xi = np.maximum(xi, 0.0)
         if math.isinf(nu2):
             # pinned reconstruction law; the multiplier lives on that constraint
@@ -66,6 +73,7 @@ def residuals(
                 res_h += 0.5 * nu2 * (1.0 / lam - 1.0 / h)
             elif metric is PerceptionMetric.W2:
                 res_h += nu2 * (1.0 - np.sqrt(lam / h))
+            res_h *= h
             # at lambda_hat = 0 a box multiplier could absorb only a
             # nonnegative pull; the distortion's (on a coded component) and
             # either divergence's pull toward a positive variance is -inf

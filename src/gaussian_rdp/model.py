@@ -213,9 +213,10 @@ class KktResiduals:
 
     ``stationarity_gamma`` and ``stationarity_lambda_hat`` are the
     per-component residuals of the two first-order conditions, the first
-    with the box multiplier ``xi`` (for gamma = lambda) substituted;
-    ``complementarity`` is the largest complementary-slackness violation
-    across all constraints.
+    with the box multiplier ``xi`` (for gamma = lambda) substituted, made
+    dimensionless by the factors ``2*gamma`` and ``lambda_hat``; ``xi``
+    keeps the units of the unscaled gamma condition; ``complementarity`` is
+    the largest complementary-slackness violation across all constraints.
     """
 
     stationarity_gamma: np.ndarray

@@ -13,6 +13,13 @@ Sampling is reproducible: each (seed, stream) seeds its own numpy
 version draw the same values, and per-component streams are independent.
 The normals are drawn in rows, row ``i`` holding sample ``i``'s pair, so
 block boundaries do not change which values each sample gets.
+
+Each block of ``_BLOCK`` rows is drawn into one buffer that every block
+reuses, and reduced through a second reused buffer to the eight moment
+sums of the normals up to fourth order.  The source coordinate, its
+reconstruction and their difference are fixed linear forms in the two
+normals, so every statistic follows from those sums in closed form.
+Memory does not grow with ``n``, and a block stays in cache.
 """
 
 from __future__ import annotations
@@ -36,7 +43,7 @@ __all__ = [
 ]
 
 _MASK = (1 << 64) - 1
-_BLOCK = 1 << 16
+_BLOCK = 1 << 13
 
 
 @dataclass(frozen=True)
@@ -111,6 +118,25 @@ def _lower_factor(pair: JointGaussianPair):
     return math.sqrt(lam), math.sqrt(rad21), math.sqrt(rad22)
 
 
+def _power_sums(a: float, b: float, second, fourth) -> tuple[float, float]:
+    """Sums of (a*n0 + b*n1)**2 and (a*n0 + b*n1)**4 over the samples.
+
+    ``second`` holds the sums of n0^2, n0*n1 and n1^2, ``fourth`` those of
+    n0^4, n0^3*n1, n0^2*n1^2, n0*n1^3 and n1^4.
+    """
+    s20, s11, s02 = second
+    s40, s31, s22, s13, s04 = fourth
+    quad = a * a * s20 + 2.0 * a * b * s11 + b * b * s02
+    quart = (
+        a**4 * s40
+        + 4.0 * a**3 * b * s31
+        + 6.0 * a * a * b * b * s22
+        + 4.0 * a * b**3 * s13
+        + b**4 * s04
+    )
+    return float(quad), float(quart)
+
+
 def sample_and_measure(
     pair: JointGaussianPair, n: int, seed: int, stream: int = 0
 ) -> SampleReport:
@@ -133,38 +159,45 @@ def sample_and_measure(
     # numpy.random is imported on first use, not with the package
     rng = np.random.default_rng([seed & _MASK, stream & _MASK])
 
-    sum_d = 0.0
-    sum_d2 = 0.0
-    sum_z2 = 0.0
-    sum_h2 = 0.0
-    sum_h4 = 0.0
-    sum_zh = 0.0
+    # each block streams through the same two buffers: row i of ``draws``
+    # holds sample i's pair, and ``prods`` its products n0^2, n0*n1, n1^2
+    rows = min(_BLOCK, n)
+    draws = np.empty((rows, 2))
+    prods = np.empty((3, rows))
+    second = np.zeros(3)
+    gram = np.zeros((3, 3))
     done = 0
     while done < n:
         count = min(_BLOCK, n - done)
-        n0, n1 = rng.standard_normal((count, 2)).T
-        z = l11 * n0
-        zh = l21 * n0 + l22 * n1
-        d = (z - zh) ** 2
-        sum_d += float(np.sum(d))
-        sum_d2 += float(np.sum(d * d))
-        sum_z2 += float(np.sum(z * z))
-        h2 = zh * zh
-        sum_h2 += float(np.sum(h2))
-        sum_h4 += float(np.sum(h2 * h2))
-        sum_zh += float(np.sum(z * zh))
+        normals = draws[:count]
+        rng.standard_normal(out=normals)
+        q = prods[:, :count]
+        np.multiply(normals[:, 0], normals[:, 0], out=q[0])
+        np.multiply(normals[:, 0], normals[:, 1], out=q[1])
+        np.multiply(normals[:, 1], normals[:, 1], out=q[2])
+        second += q.sum(axis=1)
+        gram += q @ q.T
         done += count
 
+    # sums of n0^4, n0^3*n1, n0^2*n1^2, n0*n1^3 and n1^4
+    fourth = (gram[0, 0], gram[0, 1], gram[0, 2], gram[1, 2], gram[2, 2])
+    # z - zh = (l11 - l21)*n0 - l22*n1; l11 and l21 differ by less than a
+    # factor of two whenever they nearly cancel, so the difference is exact
+    sum_d, sum_d2 = _power_sums(l11 - l21, -l22, second, fourth)
+    sum_h2, sum_h4 = _power_sums(l21, l22, second, fourth)
     mean_d = sum_d / n
     var_d = max(sum_d2 - n * mean_d * mean_d, 0.0) / (n - 1)
     se = math.sqrt(var_d / n)
     mean_h2 = sum_h2 / n
     var_h2 = max(sum_h4 - n * mean_h2 * mean_h2, 0.0) / (n - 1)
+    # the plug-in -log(1 - rho^2)/2 for z = l11*n0 and zh, taken as
+    # log1p(rho^2/(1 - rho^2))/2: both parts of that ratio are free of
+    # cancellation, even where rho^2 is near 0 or near 1
+    s20, s11, s02 = second
+    unexplained = l22 * l22 * (s20 * s02 - s11 * s11)
     mi = None
-    if mean_h2 > 0.0 and sum_z2 > 0.0:
-        rho_sq = (sum_zh / n) ** 2 / ((sum_z2 / n) * mean_h2)
-        if rho_sq < 1.0:
-            mi = -0.5 * math.log1p(-rho_sq)
+    if unexplained > 0.0:
+        mi = 0.5 * math.log1p((l21 * s20 + l22 * s11) ** 2 / unexplained)
     analytic = float(
         distortion_terms(pair.gamma, pair.lam - pair.gamma, pair.lambda_hat)
     )

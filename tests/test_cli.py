@@ -390,6 +390,25 @@ def test_verify_zero_rate_is_trivial():
     assert report["solver_rate_nats"] == 0.0
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["--lambdas", "3,2,1", "--metric", "w2", "--distortion", "6e-12", "--perception", "0"],
+        ["--lambdas", "5,1,0.2,0.01", "--metric", "kl", "--distortion", "6.21e-12", "--perception", "0.1"],
+        ["--lambdas", "5,1,0.2,0.01", "--metric", "w2", "--distortion", "6.21e-12", "--perception", "0.1"],
+        ["--lambdas", "5,1,0.2,0.01", "--metric", "none", "--distortion", "6.21e-12"],
+    ],
+)
+def test_verify_passes_kkt_at_tiny_distortion(capsys, args):
+    # with D/tr near 1e-12 the gamma condition 1/(2*gamma) is about 1e11, so
+    # a residual kept in those units rounds to 3e-5..6e-5, above the
+    # threshold of 1e-6; scaled by 2*gamma it is free of the source's units
+    code, report = run_json(capsys, ["verify", *args])
+    assert code == 0
+    assert report["kkt_pass"]
+    assert report["kkt_residual"] <= 1e-6
+
+
 def test_exit_codes_for_bad_input(capsys):
     assert main(["point", "--lambdas", "1,1", "--metric", "none"]) == 1
     capsys.readouterr()

@@ -9,7 +9,9 @@ correct sampler misses with probability about 6e-5 on any other draw.
 import dataclasses
 import math
 import random
+import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -30,6 +32,126 @@ from gaussian_rdp.montecarlo import (
     sample_and_measure,
     verify_solution,
 )
+
+
+def _elementwise_reference(pair, n, seed, stream):
+    """Sampled statistics from an elementwise pass over all the draws.
+
+    The loop the sampler used before it reduced each block to moment sums:
+    it forms z, zhat and (z - zhat)^2 per sample and sums them.  Returns
+    (mean distortion, its standard error, mean zhat^2, its standard error,
+    plug-in mutual information or None).
+    """
+    l11, l21, l22 = montecarlo._lower_factor(pair)
+    n0, n1 = np.random.default_rng([seed, stream]).standard_normal((n, 2)).T
+    z = l11 * n0
+    zh = l21 * n0 + l22 * n1
+    d = (z - zh) ** 2
+    h2 = zh * zh
+    sum_d, sum_d2 = float(np.sum(d)), float(np.sum(d * d))
+    sum_h2, sum_h4 = float(np.sum(h2)), float(np.sum(h2 * h2))
+    sum_z2, sum_zh = float(np.sum(z * z)), float(np.sum(z * zh))
+    mean_d = sum_d / n
+    var_d = max(sum_d2 - n * mean_d * mean_d, 0.0) / (n - 1)
+    mean_h2 = sum_h2 / n
+    var_h2 = max(sum_h4 - n * mean_h2 * mean_h2, 0.0) / (n - 1)
+    mi = None
+    if mean_h2 > 0.0 and sum_z2 > 0.0:
+        rho_sq = (sum_zh / n) ** 2 / ((sum_z2 / n) * mean_h2)
+        if rho_sq < 1.0:
+            mi = -0.5 * math.log1p(-rho_sq)
+    return mean_d, math.sqrt(var_d / n), mean_h2, math.sqrt(var_h2 / n), mi
+
+
+def _random_pairs(count):
+    rng = random.Random(83)
+    pairs = []
+    for _ in range(count):
+        lam = 10.0 ** rng.uniform(-3.0, 3.0)
+        pairs.append((lam, rng.uniform(0.01, 1.0) * lam, rng.uniform(0.0, 2.0) * lam))
+    return pairs
+
+
+@pytest.mark.parametrize(
+    "lam, gamma, lambda_hat",
+    _random_pairs(6)
+    + [
+        (2.0, 0.7, 0.0),  # collapsed reconstruction
+        (1.5, 1.5, 0.8),  # independent reconstruction
+        (3.0, 3.0, 0.0),  # both corners at once
+        (4.0, 4e-12, 1.6),  # nearly noiseless coding
+    ],
+)
+@pytest.mark.parametrize("n", [1000, 50_000, 100_003])
+def test_sampler_matches_elementwise_reference(lam, gamma, lambda_hat, n):
+    pair = build_pair(lam, gamma, lambda_hat)
+    rep = sample_and_measure(pair, n, 19, stream=4)
+    ref = _elementwise_reference(pair, n, 19, 4)
+    new = (
+        rep.empirical_distortion,
+        rep.standard_error,
+        rep.empirical_reconstruction_variance,
+        rep.reconstruction_variance_se,
+        rep.empirical_mi_estimate,
+    )
+    for field, a, b in zip(("d", "se", "h2", "h2_se", "mi"), new, ref):
+        if field == "mi" and gamma < 1e-6 * lam:
+            # the reference forms 1 - rho^2 ~ gamma/lam by cancellation, so
+            # its own rounding there is eps*lam/gamma relative; the test
+            # below checks this field against exact sums instead
+            continue
+        if b is None:
+            assert a is None, field
+        else:
+            assert abs(a - b) <= 1e-12 * abs(b), (field, a, b)
+    assert rep.analytic_distortion == float(
+        montecarlo.distortion_terms(gamma, lam - gamma, lambda_hat)
+    )
+
+
+@pytest.mark.parametrize("lambda_hat_ratio", [1.0, 0.4])
+def test_sampler_is_exact_where_the_elementwise_form_cancels(lambda_hat_ratio):
+    # at gamma = 1e-12*lam, z and zhat agree to about 1e-6 of either, so an
+    # elementwise z - zhat rounds at eps*sqrt(lam) per sample (up to 1e-11
+    # relative in the mean distortion), and 1 - rho^2 ~ 1e-12 formed from
+    # rho^2 rounds at eps (about 1e-5 relative in the MI estimate); the
+    # moment sums give both to the rounding of the sums themselves
+    lam = 3.7
+    pair = build_pair(lam, 1e-12 * lam, lambda_hat_ratio * lam)
+    n = 2000
+    rep = sample_and_measure(pair, n, 11, stream=0)
+    normals = np.random.default_rng([11, 0]).standard_normal((n, 2))
+    with mpmath.workdps(40):
+        l11, l21, l22 = (mpmath.mpf(v) for v in montecarlo._lower_factor(pair))
+        n0 = [mpmath.mpf(float(v)) for v in normals[:, 0]]
+        n1 = [mpmath.mpf(float(v)) for v in normals[:, 1]]
+        d = [((l11 - l21) * a - l22 * b) ** 2 for a, b in zip(n0, n1)]
+        mean_d = mpmath.fsum(d) / n
+        var_d = (mpmath.fsum(v * v for v in d) - n * mean_d**2) / (n - 1)
+        s20 = mpmath.fsum(a * a for a in n0)
+        s11 = mpmath.fsum(a * b for a, b in zip(n0, n1))
+        s02 = mpmath.fsum(b * b for b in n1)
+        sum_h2 = l21**2 * s20 + 2 * l21 * l22 * s11 + l22**2 * s02
+        rho_sq = (l21 * s20 + l22 * s11) ** 2 / (s20 * sum_h2)
+        mi = -mpmath.log1p(-rho_sq) / 2
+        exact = (mean_d, mpmath.sqrt(var_d / n), mi)
+    got = (rep.empirical_distortion, rep.standard_error, rep.empirical_mi_estimate)
+    for a, b in zip(got, exact):
+        assert abs(a - float(b)) <= 1e-12 * abs(float(b)), (a, b)
+
+
+def test_sampler_memory_does_not_grow_with_n():
+    # each block streams through the same two buffers, 8,192 rows of the
+    # normals and of their products, about 320 KiB in all
+    pair = build_pair(1.0, 0.5, 0.5)
+    sample_and_measure(pair, 1000, 1)  # numpy.random is imported on first use
+    tracemalloc.start()
+    try:
+        sample_and_measure(pair, 10**6, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 512 * 1024
 
 
 def test_build_pair_covariance_entries():
