@@ -35,7 +35,6 @@ from .model import (
     max_zero_rate_distortion,
     zero_rate_reconstruction,
 )
-from .symeig import EigenDecomposition, SymMatrix, decompose, strip_null_components
 from .classic_rd import (
     WaterLevel,
     high_distortion_rd_estimate,
@@ -45,7 +44,6 @@ from .classic_rd import (
 )
 from .kkt import solution_residuals
 from .solver import (
-    SolverConfig,
     high_distortion_p0_estimate,
     low_distortion_p0_estimate,
     solve,
@@ -75,7 +73,6 @@ __all__ = [
     "DomainError",
     "DualDegenerateError",
     "DualPoint",
-    "EigenDecomposition",
     "JointGaussianPair",
     "KktResiduals",
     "LineSearchError",
@@ -90,15 +87,12 @@ __all__ = [
     "RdpSolution",
     "SampleReport",
     "SolutionCase",
-    "SolverConfig",
     "SourceSpectrum",
-    "SymMatrix",
     "TradeoffQuery",
     "WaterLevel",
     "analytic_component_stats",
     "build_pair",
     "check_gradients",
-    "decompose",
     "from_covariance",
     "high_distortion_p0_estimate",
     "high_distortion_rd_estimate",
@@ -112,7 +106,6 @@ __all__ = [
     "solution_residuals",
     "solve",
     "solve_perfect_perception",
-    "strip_null_components",
     "verify_solution",
     "water_level",
     "zero_rate_reconstruction",

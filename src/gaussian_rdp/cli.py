@@ -61,7 +61,7 @@ from .model import (
 )
 from .montecarlo import verify_solution
 from .oracle import minimize_primal
-from .solver import SolverConfig, solve
+from .solver import solve
 
 __all__ = [
     "GridSpec",
@@ -173,7 +173,6 @@ class RunConfig:
     jobs: int = 1
     samples: int = 50000
     output_path: str | None = None
-    solver: SolverConfig | None = None
 
     def __post_init__(self) -> None:
         if (self.lambdas is None) == (self.covariance_path is None):
@@ -289,7 +288,7 @@ def run_point(cfg: RunConfig) -> tuple[SourceSpectrum, RdpSolution, TradeoffQuer
     D = _scalar(cfg.distortion, "--distortion")
     P = _scalar(cfg.perception, "--perception")
     q = _build_query(D, P, cfg.metric)
-    sol = solve(s, q, cfg.solver)
+    sol = solve(s, q)
     return s, sol, q
 
 
@@ -320,7 +319,7 @@ def run_curve(cfg: RunConfig) -> CurveSweep:
         except (NonPositiveDistortionError, DomainError):
             return None, "infeasible"
         try:
-            return solve(s, q, cfg.solver), None
+            return solve(s, q), None
         except OutOfRangeError:
             return None, "infeasible"
         except ConvergenceError:
@@ -614,16 +613,10 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--jobs", type=int, default=1)
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--samples", type=int, default=50000)
-        p.add_argument("--tol-distortion", type=float, default=None)
-        p.add_argument("--tol-perception", type=float, default=None)
     return parser
 
 
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    # a tolerance given as 0 reaches SolverConfig, which rejects it
-    tols = {"distortion_tol": args.tol_distortion, "perception_tol": args.tol_perception}
-    tols = {name: tol for name, tol in tols.items() if tol is not None}
-    solver = SolverConfig(**tols) if tols else None
     fmt = args.format
     if fmt is None:
         fmt = "csv" if args.command == "curve" else "json"
@@ -639,7 +632,6 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
         jobs=args.jobs,
         samples=args.samples,
         output_path=args.output,
-        solver=solver,
     )
 
 
@@ -688,9 +680,6 @@ def main(argv: list[str] | None = None) -> int:
         report = run_verify(cfg)
         _emit(_dump_json(report), cfg.output_path)
         return 0 if report["all_pass"] else 1
-    except CliInputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except OutOfRangeError as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
         return 2

@@ -28,7 +28,7 @@ after which ``lambda_hat = (lam-g)/(4*g^2*nu1^2)``.  Scaled by ``(lam-g)``
 the equation is a quadratic with a sign change over ``(0, lam)`` and no
 pole.  Its root is taken in closed form, by the cancellation-free quadratic
 formula, in the gap variable ``lam - g`` where the gap is at most ``lam/2``
-and in ``g`` itself elsewhere; the ``g`` root is then Newton-polished.
+and in ``g`` itself elsewhere.
 An element where neither closed form lands inside ``(0, lam)`` (rounding
 at degenerate multipliers) gets a nonfinite ``lambda_hat``.
 
@@ -71,7 +71,6 @@ __all__ = [
 # step would be far below rounding
 _THETA_RTOL = 1e-14
 _THETA_MAX_ITER = 100
-_KL_POLISH_STEPS = 3
 
 
 def _check_duals(nu1: float, nu2: float) -> None:
@@ -177,18 +176,8 @@ def stationary_pair_kl(
         gamma = lam - gap
         far = ~(gap <= 0.5 * lam)
         if far.any():
-            l, bf = lam[far], b[far]
-            c = nu1 * l + 0.5 * nu2
-            g = _root_inside(a, bf, c, l)
-            h = (a * g + bf) * g + c
-            for _ in range(_KL_POLISH_STEPS):
-                cand = g - h / (2.0 * a * g + bf)
-                h_cand = (a * cand + bf) * cand + c
-                take = (cand > 0.0) & (cand < l) & (np.abs(h_cand) <= np.abs(h))
-                if not take.any():
-                    break
-                g = np.where(take, cand, g)
-                h = np.where(take, h_cand, h)
+            l = lam[far]
+            g = _root_inside(a, b[far], nu1 * l + 0.5 * nu2, l)
             gamma[far] = g
             gap[far] = l - g
         lam_hat = gap / (4.0 * gamma * gamma * (nu1 * nu1))

@@ -1,13 +1,17 @@
-"""Domain types shared by every solver in the package.
+"""Domain types shared by every solver in the package, and the covariance path.
 
-A Gaussian vector source is reduced (by ``from_covariance``) to its spectrum
-of component variances. A query fixes a total squared-error distortion
-budget D, a perception budget P, and the perception metric (Kullback-Leibler
-divergence of the reconstruction law from the source law, squared
-Wasserstein-2 distance, or no perception constraint at all). Solutions
-assign each component a water level ``gamma`` (the MMSE of estimating the
-component from its reconstruction), a reconstruction variance
-``lambda_hat``, and a rate ``0.5*log(lambda/gamma)``, held as arrays.
+A Gaussian vector source is reduced to its spectrum of component variances
+by ``from_covariance``: ``decompose`` validates the covariance matrix and
+diagonalizes it with ``numpy.linalg.eigh``, and the null components are
+stripped. The coding problem is separable across the decorrelated
+components, so the spectrum is all the solvers need. A query fixes a total
+squared-error distortion budget D, a perception budget P, and the
+perception metric (Kullback-Leibler divergence of the reconstruction law
+from the source law, squared Wasserstein-2 distance, or no perception
+constraint at all). Solutions assign each component a water level
+``gamma`` (the MMSE of estimating the component from its reconstruction),
+a reconstruction variance ``lambda_hat``, and a rate
+``0.5*log(lambda/gamma)``, held as arrays.
 
 Rates are stored in nats throughout; conversion to bits happens only at the
 output boundary. For perfect-perception solutions (P = 0) the perception
@@ -26,12 +30,14 @@ from typing import Optional
 import numpy as np
 
 from .errors import (
+    AllComponentsNullError,
     DimensionZeroError,
     DomainError,
     NonPositiveDistortionError,
+    NotPsdError,
+    NotSymmetricError,
 )
 from .rootfind import bisect_root
-from .symeig import SymMatrix, decompose, strip_null_components
 
 __all__ = [
     "PerceptionMetric",
@@ -47,7 +53,8 @@ __all__ = [
     "zero_rate_reconstruction",
 ]
 
-DEFAULT_NULL_RTOL = 1e-12
+SYMMETRY_RTOL = 1e-12
+NULL_RTOL = 1e-12
 
 
 class PerceptionMetric(enum.Enum):
@@ -258,20 +265,66 @@ class CurveSweep:
                 raise DomainError(f"sweep field {name} misaligned with grid")
 
 
-def from_covariance(m: SymMatrix | np.ndarray, tol: float | None = None) -> SourceSpectrum:
+def decompose(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues, descending, and matching basis rows of a symmetric matrix.
+
+    The matrix must be square, nonempty and finite, and symmetric within
+    1e-12 of its largest entry magnitude; it is then averaged with its
+    transpose and handed to ``numpy.linalg.eigh``.  The basis rows satisfy
+    ``basis.T @ diag(eigenvalues) @ basis == m`` to rounding.
+
+    Raises
+    ------
+    DimensionZeroError
+        If the matrix is 0 x 0.
+    NotSymmetricError
+        If the matrix violates the symmetry tolerance.
+    DomainError
+        If the matrix is not square or has a nonfinite entry.
+    """
+    a = np.asarray(m, dtype=float)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise DomainError(f"expected a square matrix, got shape {a.shape}")
+    if a.shape[0] == 0:
+        raise DimensionZeroError("matrix has dimension zero")
+    if not np.all(np.isfinite(a)):
+        raise DomainError("matrix entries must be finite")
+    scale = float(np.max(np.abs(a)))
+    gap = float(np.max(np.abs(a - a.T)))
+    if gap > SYMMETRY_RTOL * max(scale, 1e-300):
+        raise NotSymmetricError(
+            f"asymmetry {gap:.3e} exceeds {SYMMETRY_RTOL:.0e} of scale {scale:.3e}"
+        )
+    # eigh returns ascending eigenvalues with eigenvectors in its columns
+    w, v = np.linalg.eigh(0.5 * (a + a.T))
+    return w[::-1], v[:, ::-1].T
+
+
+def from_covariance(m: np.ndarray) -> SourceSpectrum:
     """Decompose a covariance matrix into a source spectrum.
 
-    Null components (eigenvalues at or below ``tol``, defaulting to
-    1e-12 times the largest eigenvalue) are dropped; eigenvalues more
-    negative than ``-tol`` raise :class:`NotPsdError`. Surviving
+    Null components, with eigenvalues at or below ``tol = 1e-12`` times the
+    largest eigenvalue, are dropped along with their basis rows; an
+    eigenvalue below ``-tol`` raises :class:`NotPsdError`.  Surviving
     eigenvalues arrive sorted descending with their basis rows retained.
+
+    Raises
+    ------
+    NotPsdError
+        If an eigenvalue lies below ``-tol``.
+    AllComponentsNullError
+        If no eigenvalue lies above ``tol``.
     """
-    e = decompose(m)
-    if tol is None:
-        lam_max = float(e.eigenvalues[0]) if e.eigenvalues.size else 0.0
-        tol = DEFAULT_NULL_RTOL * max(lam_max, 0.0)
-    stripped = strip_null_components(e, tol)
-    return SourceSpectrum(lambdas=stripped.eigenvalues, basis=stripped.basis)
+    w, basis = decompose(m)
+    tol = NULL_RTOL * max(float(w[0]), 0.0)
+    if w[-1] < -tol:
+        raise NotPsdError(f"eigenvalue {w[-1]:.6e} below -{tol:.3e}")
+    keep = w > tol
+    if not keep.any():
+        raise AllComponentsNullError(
+            f"all {w.size} eigenvalues at or below threshold {tol:.3e}"
+        )
+    return SourceSpectrum(lambdas=w[keep], basis=basis[keep])
 
 
 def zero_rate_reconstruction(

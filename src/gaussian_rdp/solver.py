@@ -33,7 +33,6 @@ assembler, :func:`classic_rd.assemble`.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -58,7 +57,6 @@ from .model import (
 from .rootfind import bisect_root
 
 __all__ = [
-    "SolverConfig",
     "solve",
     "solve_perfect_perception",
     "high_distortion_p0_estimate",
@@ -69,29 +67,13 @@ __all__ = [
 # stay defined throughout the ascent
 DUAL_FLOOR = 1e-300
 
+# each budget is met to this fraction of itself, so a small budget is met
+# to the same number of digits as a large one
+_BUDGET_RTOL = 1e-9
+_MAX_DUAL_ITERATIONS = 500
 _ARMIJO_C = 1e-4
 _MAX_BACKTRACKS = 60
 _MAX_NEWTON_BACKTRACKS = 25
-
-
-@dataclass(frozen=True)
-class SolverConfig:
-    """Convergence knobs for the dual search.
-
-    ``distortion_tol`` is relative to the distortion budget ``D`` and
-    ``perception_tol`` to the perception budget ``P``, so a small budget is
-    met to the same number of digits as a large one.
-    """
-
-    distortion_tol: float = 1e-9
-    perception_tol: float = 1e-9
-    max_dual_iterations: int = 500
-
-    def __post_init__(self) -> None:
-        if not (self.distortion_tol > 0.0 and self.perception_tol > 0.0):
-            raise DomainError("tolerances must be positive")
-        if self.max_dual_iterations < 1:
-            raise DomainError("iteration budget must be at least 1")
 
 
 class _DualState:
@@ -225,19 +207,18 @@ def _search_error(cls, message: str, iterations: int, nu: np.ndarray, state: _Du
 
 
 def _dual_search(
-    s: SourceSpectrum, metric: PerceptionMetric, D: float, P: float,
-    cfg: SolverConfig,
+    s: SourceSpectrum, metric: PerceptionMetric, D: float, P: float
 ) -> RdpSolution:
     lam = s.lambdas
-    tol_d = cfg.distortion_tol * D
-    tol_p = cfg.perception_tol * P
+    tol_d = _BUDGET_RTOL * D
+    tol_p = _BUDGET_RTOL * P
     # nu1 carries units of 1/distortion, and so does nu2 under W2, whose
     # budget is a squared distance; the KL budget is dimensionless
     nu1 = lam.size / (2.0 * D)
     nu = np.array([nu1, nu1 if metric is PerceptionMetric.W2 else 1.0])
     state = _evaluate_dual(lam, nu[0], nu[1], metric, D, P)
     step = 1.0
-    for iteration in range(cfg.max_dual_iterations):
+    for iteration in range(_MAX_DUAL_ITERATIONS):
         if abs(state.slack_d) <= tol_d and abs(state.slack_p) <= tol_p:
             break
         newton = _try_newton(lam, nu, state, metric, D, P, tol_d, tol_p)
@@ -268,7 +249,7 @@ def _dual_search(
         if not (abs(state.slack_d) <= tol_d and abs(state.slack_p) <= tol_p):
             raise _search_error(
                 ConvergenceError, "dual search exhausted its iteration budget",
-                cfg.max_dual_iterations, nu, state,
+                _MAX_DUAL_ITERATIONS, nu, state,
             )
     if not np.all(state.gaps > 0.0):
         raise _search_error(
@@ -295,9 +276,7 @@ def _zero_rate_solution(
     )
 
 
-def solve(
-    s: SourceSpectrum, q: TradeoffQuery, cfg: SolverConfig | None = None
-) -> RdpSolution:
+def solve(s: SourceSpectrum, q: TradeoffQuery) -> RdpSolution:
     """Minimal coding rate under a distortion and a perception budget.
 
     Regimes are detected in the order zero-rate feasible, perception
@@ -309,8 +288,6 @@ def solve(
     ConvergenceError
         If the two-multiplier search stalls or exhausts its budget.
     """
-    if cfg is None:
-        cfg = SolverConfig()
     metric = q.metric
     D = q.distortion_budget
     P = q.perception_budget
@@ -327,7 +304,7 @@ def solve(
 
     if P == 0.0:
         return _perfect_perception_interior(s, D)
-    return _dual_search(s, metric, D, P, cfg)
+    return _dual_search(s, metric, D, P)
 
 
 def _perfect_perception_interior(s: SourceSpectrum, D: float) -> RdpSolution:

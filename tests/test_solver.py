@@ -76,23 +76,6 @@ def spectrum(*lams):
     return SourceSpectrum(np.array(lams, dtype=float))
 
 
-def test_config_validation():
-    for kwargs in (
-        {"distortion_tol": 0.0},
-        {"perception_tol": -1e-9},
-        {"max_dual_iterations": 0},
-    ):
-        with pytest.raises(DomainError):
-            solver.SolverConfig(**kwargs)
-
-
-def test_config_defaults():
-    cfg = solver.SolverConfig()
-    assert cfg.distortion_tol == 1e-9
-    assert cfg.perception_tol == 1e-9
-    assert cfg.max_dual_iterations == 500
-
-
 @pytest.mark.parametrize("lam,metric,D,P,nu1,nu2,gamma,rate", FROZEN_POINTS)
 def test_frozen_scalar_points(lam, metric, D, P, nu1, nu2, gamma, rate):
     s = spectrum(lam)
@@ -360,11 +343,11 @@ def test_estimate_domain_errors():
             solver.low_distortion_p0_estimate(s, bad)
 
 
-def test_convergence_error_carries_diagnostics():
+def test_convergence_error_carries_diagnostics(monkeypatch):
     s = spectrum(3.0, 2.0, 5.0, 4.0, 1.0)
-    cfg = solver.SolverConfig(max_dual_iterations=1)
+    monkeypatch.setattr(solver, "_MAX_DUAL_ITERATIONS", 1)
     with pytest.raises(ConvergenceError) as info:
-        solver.solve(s, TradeoffQuery(7.5, 0.1, PerceptionMetric.KL), cfg)
+        solver.solve(s, TradeoffQuery(7.5, 0.1, PerceptionMetric.KL))
     diag = info.value.diagnostics
     for key in ("iterations", "nu1", "nu2", "slack_distortion", "slack_perception"):
         assert key in diag
