@@ -236,7 +236,17 @@ def load_covariance_file(path: str) -> SourceSpectrum:
             rows.append([float(v) for v in fields])
         except ValueError as exc:
             raise CliInputError(f"{path}, line {lineno}: {exc}") from None
-    return from_covariance(np.array(rows))
+    m = np.array(rows)
+    if not np.isfinite(m).all():
+        i, j = np.argwhere(~np.isfinite(m))[0]
+        raise CliInputError(
+            f"{path}, line {lines[1 + i][0]}: matrix entries must be finite, got {float(m[i, j])}"
+        )
+    try:
+        return from_covariance(m)
+    except RdpError as exc:
+        # same class, so the exit code stays; the message gains the file
+        raise type(exc)(f"{path}: {exc}") from None
 
 
 def _source(cfg: RunConfig) -> SourceSpectrum:

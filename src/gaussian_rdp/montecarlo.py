@@ -9,17 +9,20 @@ construction; estimating them from samples would introduce estimator bias
 with no bearing on what is being verified.
 
 Sampling is reproducible: each (seed, stream) seeds its own numpy
-``Generator`` (both taken modulo 2**64), so the same seed, stream and numpy
-version draw the same values, and per-component streams are independent.
-The normals are drawn in rows, row ``i`` holding sample ``i``'s pair, so
-block boundaries do not change which values each sample gets.
+``Generator`` over the SFC64 bit generator (both taken modulo 2**64), so
+the same seed, stream and numpy version draw the same values, and
+per-component streams are independent.  The normals are drawn in rows,
+row ``i`` holding sample ``i``'s pair, so block boundaries do not change
+which values each sample gets.
 
 Each block of ``_BLOCK`` rows is drawn into one buffer that every block
 reuses, and reduced through a second reused buffer to the eight moment
-sums of the normals up to fourth order.  The source coordinate, its
-reconstruction and their difference are fixed linear forms in the two
-normals, so every statistic follows from those sums in closed form.
-Memory does not grow with ``n``, and a block stays in cache.
+sums of the normals up to fourth order: three row sums of the products
+n0^2, n0*n1, n1^2 and five level-1 dot products between those rows.  The
+source coordinate, its reconstruction and their difference are fixed
+linear forms in the two normals, so every statistic follows from those
+sums in closed form.  Memory does not grow with ``n``, and a block stays
+in cache.
 """
 
 from __future__ import annotations
@@ -157,7 +160,7 @@ def sample_and_measure(
         raise DomainError(f"need at least 1000 samples, got {n}")
     l11, l21, l22 = _lower_factor(pair)
     # numpy.random is imported on first use, not with the package
-    rng = np.random.default_rng([seed & _MASK, stream & _MASK])
+    rng = np.random.Generator(np.random.SFC64([seed & _MASK, stream & _MASK]))
 
     # each block streams through the same two buffers: row i of ``draws``
     # holds sample i's pair, and ``prods`` its products n0^2, n0*n1, n1^2
@@ -165,22 +168,23 @@ def sample_and_measure(
     draws = np.empty((rows, 2))
     prods = np.empty((3, rows))
     second = np.zeros(3)
-    gram = np.zeros((3, 3))
+    # sums of n0^4, n0^3*n1, n0^2*n1^2, n0*n1^3 and n1^4
+    fourth = np.zeros(5)
     done = 0
     while done < n:
         count = min(_BLOCK, n - done)
         normals = draws[:count]
         rng.standard_normal(out=normals)
         q = prods[:, :count]
-        np.multiply(normals[:, 0], normals[:, 0], out=q[0])
-        np.multiply(normals[:, 0], normals[:, 1], out=q[1])
-        np.multiply(normals[:, 1], normals[:, 1], out=q[2])
+        q0, q1, q2 = q
+        np.multiply(normals[:, 0], normals[:, 0], out=q0)
+        np.multiply(normals[:, 0], normals[:, 1], out=q1)
+        np.multiply(normals[:, 1], normals[:, 1], out=q2)
         second += q.sum(axis=1)
-        gram += q @ q.T
+        # q1.q1 stands in for q0.q2: both are the sum of n0^2*n1^2
+        fourth += (q0 @ q0, q0 @ q1, q1 @ q1, q1 @ q2, q2 @ q2)
         done += count
 
-    # sums of n0^4, n0^3*n1, n0^2*n1^2, n0*n1^3 and n1^4
-    fourth = (gram[0, 0], gram[0, 1], gram[0, 2], gram[1, 2], gram[2, 2])
     # z - zh = (l11 - l21)*n0 - l22*n1; l11 and l21 differ by less than a
     # factor of two whenever they nearly cancel, so the difference is exact
     sum_d, sum_d2 = _power_sums(l11 - l21, -l22, second, fourth)

@@ -167,6 +167,50 @@ def test_bad_covariance_matrix_exits_1(tmp_path, capsys, matrix):
         assert captured.err.startswith("error: ")
 
 
+@pytest.mark.parametrize(
+    "matrix, where",
+    [
+        ("2\n1 0.5\n0 1\n", ": asymmetry"),
+        ("2\n1 2\n2 1\n", ": eigenvalue"),
+        ("2\n0 0\n0 0\n", ": all 2 eigenvalues"),
+        ("2\n\n1 0\n0 nan\n", ", line 4: matrix entries must be finite, got nan"),
+        ("2\n1 -inf\n0 1\n", ", line 2: matrix entries must be finite, got -inf"),
+    ],
+    ids=["asymmetric", "not-psd", "all-null", "nan", "inf"],
+)
+def test_bad_covariance_matrix_names_the_file(tmp_path, capsys, matrix, where):
+    p = tmp_path / "cov.txt"
+    p.write_text(matrix)
+    argv = ["verify", "--covariance", str(p), "--metric", "kl",
+            "--distortion", "0.5", "--perception", "0.1"]
+    assert main(argv) == 1
+    assert capsys.readouterr().err.startswith(f"error: {p}{where}")
+
+
+@pytest.mark.parametrize("family", ["ar1", "wishart"])
+def test_verify_passes_on_48_dimensional_covariance_files(tmp_path, capsys, family):
+    # the benchmark's largest inputs, at the CLI's default seed and sample
+    # count: every component's draws must land within 4 standard errors
+    n = 48
+    if family == "ar1":
+        i = np.arange(n)
+        m = 0.95 ** np.abs(i[:, None] - i[None, :])
+    else:
+        a = np.random.default_rng(48).standard_normal((n, n))
+        m = a @ a.T / n
+    p = tmp_path / f"{family}.cov"
+    rows = [" ".join(repr(float(v)) for v in row) for row in m]
+    p.write_text("\n".join([str(n), *rows]) + "\n")
+    tr = float(np.trace(m))
+    for metric, P in (("kl", 0.05 * n), ("w2", 0.05 * tr), ("w2", 0.0)):
+        code, report = run_json(capsys, [
+            "verify", "--covariance", str(p), "--metric", metric,
+            "--distortion", repr(0.3 * tr), "--perception", repr(P),
+        ])
+        assert code == 0, (metric, P)
+        assert report["montecarlo_pass"], (metric, P)
+
+
 def test_point_classic_rd_symmetric(capsys):
     code, rec = run_json(
         capsys, ["point", "--lambdas", "1,1", "--metric", "none", "--distortion", "1"]

@@ -43,7 +43,7 @@ def _elementwise_reference(pair, n, seed, stream):
     plug-in mutual information or None).
     """
     l11, l21, l22 = montecarlo._lower_factor(pair)
-    n0, n1 = np.random.default_rng([seed, stream]).standard_normal((n, 2)).T
+    n0, n1 = np.random.Generator(np.random.SFC64([seed, stream])).standard_normal((n, 2)).T
     z = l11 * n0
     zh = l21 * n0 + l22 * n1
     d = (z - zh) ** 2
@@ -120,7 +120,7 @@ def test_sampler_is_exact_where_the_elementwise_form_cancels(lambda_hat_ratio):
     pair = build_pair(lam, 1e-12 * lam, lambda_hat_ratio * lam)
     n = 2000
     rep = sample_and_measure(pair, n, 11, stream=0)
-    normals = np.random.default_rng([11, 0]).standard_normal((n, 2))
+    normals = np.random.Generator(np.random.SFC64([11, 0])).standard_normal((n, 2))
     with mpmath.workdps(40):
         l11, l21, l22 = (mpmath.mpf(v) for v in montecarlo._lower_factor(pair))
         n0 = [mpmath.mpf(float(v)) for v in normals[:, 0]]
