@@ -26,8 +26,7 @@ become rows with an ``infeasible`` tag and empty numeric fields rather
 than aborting the run.
 
 Exit codes: 0 success (and every check passing, for ``verify``); 1
-malformed input or a failed verification; 2 infeasible query; 3
-convergence failure.
+malformed input or a failed verification; 3 convergence failure.
 """
 
 from __future__ import annotations
@@ -42,13 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import __version__
-from .errors import (
-    ConvergenceError,
-    DomainError,
-    NonPositiveDistortionError,
-    OutOfRangeError,
-    RdpError,
-)
+from .errors import ConvergenceError, DomainError, RdpError
 from .model import (
     CurveSweep,
     DualPoint,
@@ -326,12 +319,10 @@ def run_curve(cfg: RunConfig) -> CurveSweep:
         d, p = pair
         try:
             q = _build_query(d, p, cfg.metric)
-        except (NonPositiveDistortionError, DomainError):
+        except DomainError:
             return None, "infeasible"
         try:
             return solve(s, q), None
-        except OutOfRangeError:
-            return None, "infeasible"
         except ConvergenceError:
             return None, "convergence_failure"
 
@@ -690,9 +681,6 @@ def main(argv: list[str] | None = None) -> int:
         report = run_verify(cfg)
         _emit(_dump_json(report), cfg.output_path)
         return 0 if report["all_pass"] else 1
-    except OutOfRangeError as exc:
-        print(f"infeasible: {exc}", file=sys.stderr)
-        return 2
     except ConvergenceError as exc:
         print(f"convergence failure: {exc}", file=sys.stderr)
         return 3

@@ -68,4 +68,4 @@ class ConvergenceError(RdpError, RuntimeError):
 
 
 class LineSearchError(ConvergenceError):
-    """A backtracking line search collapsed without sufficient decrease."""
+    """No backtracked or damped step made sufficient progress."""

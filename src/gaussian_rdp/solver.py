@@ -12,11 +12,13 @@ A query (D, P, metric) lands in one of three regimes, checked in order:
    infinite), which forces the next regime.
 3. Both constraints active: a pair of positive multipliers (nu1, nu2) is
    sought so that the per-component stationary allocations meet both budgets
-   with equality. The concave Lagrange dual is maximized by damped Newton
-   steps: its gradient is the pair of constraint slacks, and its Hessian is
-   taken in closed form from the allocations one dual evaluation returns.
-   A projected gradient step with a backtracking line search stands in
-   whenever a Newton step is refused.
+   with equality. The concave Lagrange dual is maximized by Newton steps
+   in the relative coordinates ``delta/nu``: its gradient is the pair of
+   constraint slacks, and its Hessian is taken in closed form from the
+   allocations one dual evaluation returns.  A step that is refused is
+   damped Levenberg-Marquardt style, adding a multiple of the identity to
+   the Hessian, which turns it toward the gradient and shortens it; the
+   damping eases again after each accepted step.
 
 A perception budget of exactly zero pins every reconstruction variance to
 its source variance, sending nu2 to infinity; that regime is handled by a
@@ -63,17 +65,12 @@ __all__ = [
     "low_distortion_p0_estimate",
 ]
 
-# multipliers are projected onto [DUAL_FLOOR, inf) so the stationary maps
-# stay defined throughout the ascent
-DUAL_FLOOR = 1e-300
-
 # each budget is met to this fraction of itself, so a small budget is met
 # to the same number of digits as a large one
 _BUDGET_RTOL = 1e-9
 _MAX_DUAL_ITERATIONS = 500
 _ARMIJO_C = 1e-4
-_MAX_BACKTRACKS = 60
-_MAX_NEWTON_BACKTRACKS = 25
+_MAX_DAMPINGS = 60
 
 
 class _DualState:
@@ -155,47 +152,43 @@ def _slack_jacobian(
 def _try_newton(
     lam: np.ndarray, nu: np.ndarray, state: _DualState,
     metric: PerceptionMetric, D: float, P: float,
-    tol_d: float, tol_p: float,
+    tol_d: float, tol_p: float, mu: float,
 ):
-    """One damped Newton step on the dual; None if not accepted.
+    """One damped Newton step on the dual; None if every damping fails.
 
-    ``delta`` solves ``J delta = -slacks`` for the exact slack Jacobian
-    ``J``, at no extra dual evaluation.  The step is halved until it stays
-    positive and cuts the larger relative slack by a tenth or, once shorter
-    than a tenth, meets the Armijo condition along ``delta`` (an ascent
-    direction, since ``J`` is negative definite).  Longer steps must cut
-    the slacks: on the Armijo test alone they can lead a search in large
-    raw units toward ``nu = 0``.  A singular or nonfinite ``J`` refuses the
-    step.
+    In relative coordinates ``y = delta/nu`` the step solves
+    ``(H + mu*I) y = b`` with ``b = nu*slacks`` and ``H = -diag(nu) J
+    diag(nu)`` for the exact slack Jacobian ``J`` (``H = 0`` where it is not
+    finite), at no extra dual evaluation.  A step is accepted when each
+    multiplier stays above a tenth of itself and either the larger relative
+    slack falls by a tenth or, once damped, the dual value meets the Armijo
+    condition on the gain ``b @ y``; otherwise ``mu`` grows tenfold, from
+    at least 1e-6 of the larger of ``tr H`` and ``max |b|``.  Undamped
+    steps must cut the slacks: on the Armijo test alone, full Newton steps
+    can walk a search toward ``nu = 0``.  Returns the new multipliers,
+    their evaluation and the ``mu`` that was accepted.
     """
-    f = np.array([state.slack_d, state.slack_p])
+    b = nu * np.array([state.slack_d, state.slack_p])
     with np.errstate(all="ignore"):
-        jac = _slack_jacobian(lam, nu[0], nu[1], state, metric)
-    if not np.all(np.isfinite(jac)):
-        return None
-    det = jac[0, 0] * jac[1, 1] - jac[0, 1] * jac[1, 0]
-    scale = float(np.max(np.abs(jac)))
-    if not math.isfinite(det) or abs(det) <= 1e-30 * max(scale, 1e-300) ** 2:
-        return None
-    delta = np.array(
-        [
-            (-f[0] * jac[1, 1] + f[1] * jac[0, 1]) / det,
-            (-f[1] * jac[0, 0] + f[0] * jac[1, 0]) / det,
-        ]
-    )
+        hess = -nu[:, None] * _slack_jacobian(lam, nu[0], nu[1], state, metric) * nu
+    if not np.all(np.isfinite(hess)):
+        hess = np.zeros((2, 2))
+    mu_floor = 1e-6 * max(hess[0, 0] + hess[1, 1], float(np.max(np.abs(b))))
     phi = max(abs(state.slack_d) / tol_d, abs(state.slack_p) / tol_p)
-    slope = float(f @ delta)
-    t = 1.0
-    for _ in range(_MAX_NEWTON_BACKTRACKS):
-        cand = nu + t * delta
-        if np.all(cand > 0.0):
+    for _ in range(_MAX_DAMPINGS):
+        a00, a11, a01 = hess[0, 0] + mu, hess[1, 1] + mu, hess[0, 1]
+        with np.errstate(all="ignore"):
+            det = a00 * a11 - a01 * a01
+            y = np.array([a11 * b[0] - a01 * b[1], a00 * b[1] - a01 * b[0]]) / det
+        if np.all(np.isfinite(y)) and np.all(y > -0.9):
+            cand = nu * (1.0 + y)
             st = _evaluate_dual(lam, cand[0], cand[1], metric, D, P)
             cand_phi = max(abs(st.slack_d) / tol_d, abs(st.slack_p) / tol_p)
             if cand_phi < 0.9 * phi or (
-                t < 0.1 and slope > 0.0 and st.value >= state.value + _ARMIJO_C * t * slope
+                mu > 0.0 and st.value >= state.value + _ARMIJO_C * float(b @ y)
             ):
-                return cand, st
-        t *= 0.5
+                return cand, st, mu
+        mu = max(10.0 * mu, mu_floor)
     return None
 
 
@@ -207,44 +200,29 @@ def _search_error(cls, message: str, iterations: int, nu: np.ndarray, state: _Du
 
 
 def _dual_search(
-    s: SourceSpectrum, metric: PerceptionMetric, D: float, P: float
+    s: SourceSpectrum, metric: PerceptionMetric, D: float, P: float, level: float
 ) -> RdpSolution:
     lam = s.lambdas
     tol_d = _BUDGET_RTOL * D
     tol_p = _BUDGET_RTOL * P
-    # nu1 carries units of 1/distortion, and so does nu2 under W2, whose
-    # budget is a squared distance; the KL budget is dimensionless
-    nu1 = lam.size / (2.0 * D)
-    nu = np.array([nu1, nu1 if metric is PerceptionMetric.W2 else 1.0])
+    # nu1 starts at the classical multiplier of the water level; nu2 carries
+    # units of 1/distortion under W2, whose budget is a squared distance,
+    # and none under KL, whose budget is dimensionless
+    nu2 = lam.size / (2.0 * D) if metric is PerceptionMetric.W2 else 1.0
+    nu = np.array([0.5 / level, nu2])
     state = _evaluate_dual(lam, nu[0], nu[1], metric, D, P)
-    step = 1.0
+    mu = 0.0
     for iteration in range(_MAX_DUAL_ITERATIONS):
         if abs(state.slack_d) <= tol_d and abs(state.slack_p) <= tol_p:
             break
-        newton = _try_newton(lam, nu, state, metric, D, P, tol_d, tol_p)
-        if newton is not None:
-            nu, state = newton
-            continue
-        direction = np.array([state.slack_d, state.slack_p])
-        # box-limit each coordinate to one decade of movement per step so a
-        # single large slack cannot catapult a multiplier onto the floor
-        lower = np.maximum(0.1 * nu, DUAL_FLOOR)
-        upper = 10.0 * nu + 1.0
-        t = step
-        for _ in range(_MAX_BACKTRACKS):
-            cand = np.clip(nu + t * direction, lower, upper)
-            trial = _evaluate_dual(lam, cand[0], cand[1], metric, D, P)
-            gain = float(direction @ (cand - nu))
-            if trial.value >= state.value + _ARMIJO_C * gain and gain > 0.0:
-                nu, state = cand, trial
-                step = t * 2.0
-                break
-            t *= 0.5
-        else:
+        newton = _try_newton(lam, nu, state, metric, D, P, tol_d, tol_p, mu)
+        if newton is None:
             raise _search_error(
                 LineSearchError, "dual ascent stalled before meeting the budget equations",
                 iteration, nu, state,
             )
+        nu, state, mu = newton
+        mu *= 0.1
     else:
         if not (abs(state.slack_d) <= tol_d and abs(state.slack_p) <= tol_p):
             raise _search_error(
@@ -304,7 +282,7 @@ def solve(s: SourceSpectrum, q: TradeoffQuery) -> RdpSolution:
 
     if P == 0.0:
         return _perfect_perception_interior(s, D)
-    return _dual_search(s, metric, D, P)
+    return _dual_search(s, metric, D, P, w.nu)
 
 
 def _perfect_perception_interior(s: SourceSpectrum, D: float) -> RdpSolution:

@@ -141,6 +141,18 @@ def test_covariance_diagnostics_name_lines(tmp_path):
     p.write_text("")
     with pytest.raises(CliInputError, match="empty"):
         load_covariance_file(str(p))
+    p.write_text("2 2\n1 0\n0 1\n")
+    with pytest.raises(CliInputError, match="line 1: expected the dimension alone"):
+        load_covariance_file(str(p))
+    p.write_text("0\n")
+    with pytest.raises(CliInputError, match="line 1: dimension must be >= 1"):
+        load_covariance_file(str(p))
+    p.write_text("2\n1 0\n")
+    with pytest.raises(CliInputError, match="expected 2 matrix rows after the header, got 1"):
+        load_covariance_file(str(p))
+    p.write_text("2\n1 x\n0 1\n")
+    with pytest.raises(CliInputError, match="line 2"):
+        load_covariance_file(str(p))
     with pytest.raises(CliInputError):
         load_covariance_file(str(tmp_path / "missing.txt"))
 
@@ -346,6 +358,23 @@ def test_curve_infeasible_rows_do_not_abort():
     assert curve_from_csv(text) == sweep
 
 
+def test_curve_json_rows_match_point_records(capsys):
+    # D = 0 is no valid budget: that row is tagged, the rest are the records
+    # `point` prints for the same budgets
+    argv = ["--lambdas", "3,2,1", "--metric", "kl", "--perception", "0.2"]
+    code, payload = run_json(capsys, ["curve", *argv, "--distortion", "0:3:4", "--format", "json"])
+    assert code == 0
+    rows = payload["rows"]
+    assert rows[0] == {
+        "case_tag": "infeasible", "distortion_budget": 0.0, "metric": "kl", "perception_budget": 0.2,
+    }
+    assert [row["distortion_budget"] for row in rows[1:]] == [1.0, 2.0, 3.0]
+    for row in rows[1:]:
+        code, record = run_json(capsys, ["point", *argv, "--distortion", repr(row["distortion_budget"])])
+        assert code == 0
+        assert row == record
+
+
 def test_curve_jobs_output_identical(tmp_path):
     argv = [
         "curve",
@@ -517,6 +546,11 @@ def test_exit_codes_for_bad_input(capsys):
         == 1
     )
     capsys.readouterr()
+    base = ["--lambdas", "1", "--metric", "none", "--distortion", "0.5"]
+    assert main(["curve", *base[:-1], "0.1:0.5:3", "--jobs", "0"]) == 1
+    assert "--jobs must be >= 1" in capsys.readouterr().err
+    assert main(["verify", *base, "--samples", "999"]) == 1
+    assert "--samples must be >= 1000" in capsys.readouterr().err
 
 
 def test_output_file_written(tmp_path):

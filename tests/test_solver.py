@@ -6,6 +6,7 @@ so the solver must reproduce it, not just the constraint equalities.
 """
 
 import math
+import warnings
 
 import mpmath
 import numpy as np
@@ -381,12 +382,27 @@ def wide_fuzz_queries(count, seed=1):
     return out
 
 
-WIDE_QUERIES = wide_fuzz_queries(30)
+def normalized(query):
+    """The query with lambda, D and a W2 budget divided by tr(Sigma)."""
+    lam, D, P, metric = query
+    tr = float(lam.sum())
+    return lam / tr, D / tr, P / tr if metric is PerceptionMetric.W2 else P, metric
 
 
-@pytest.mark.parametrize(
-    "query", WIDE_QUERIES, ids=[f"q{i}" for i in range(len(WIDE_QUERIES))]
-)
+# (seed, query) pairs of the recipe, with variances of 2e5-6e9, that once
+# needed a projected-gradient fallback to the Newton step; it stalled on
+# (40, 6), and on (17, 141) once normalized
+FALLBACK_QUERIES = [
+    (7, 255), (9, 113), (14, 219), (17, 34), (17, 141), (33, 5),
+    (34, 217), (37, 53), (40, 6), (40, 45), (41, 105),
+]
+_RECIPES = {seed: wide_fuzz_queries(300, seed) for seed, _ in FALLBACK_QUERIES}
+WIDE_QUERIES = {f"q{i}": q for i, q in enumerate(wide_fuzz_queries(30))}
+WIDE_QUERIES.update({f"s{seed}q{i}": _RECIPES[seed][i] for seed, i in FALLBACK_QUERIES})
+WIDE_QUERIES["s17q141-normalized"] = normalized(_RECIPES[17][141])
+
+
+@pytest.mark.parametrize("query", WIDE_QUERIES.values(), ids=WIDE_QUERIES.keys())
 def test_wide_range_queries_meet_their_budgets(query):
     # scales from 1e-4 to 1e12 and budgets down to 1e-8: each query must
     # return, and meet D and P to 1e-6 of that budget itself
@@ -599,6 +615,17 @@ def test_slack_jacobian_matches_mpmath(metric):
     assert np.max(np.abs(jac - ref) / np.abs(ref)) <= 1e-12
 
 
+def assert_damped_step(lam, nu, state, metric):
+    # D = 1 and P = 0.1, met to 1e-9 of themselves; RuntimeWarnings raise
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        step = solver._try_newton(lam, nu, state, metric, 1.0, 0.1, 1e-9, 1e-10, 0.0)
+    assert step is not None
+    cand, _, mu = step
+    assert np.all(np.isfinite(cand)) and np.all(cand > 0.0)
+    assert mu > 0.0
+
+
 def test_slack_jacobian_on_the_kl_zero_rate_boundary():
     # multipliers this small underflow every KL gap, so the dual is evaluated
     # on the zero-rate boundary (gaps 0): gamma is pinned and only lambda_hat
@@ -611,14 +638,17 @@ def test_slack_jacobian_on_the_kl_zero_rate_boundary():
     c = nu2 * 0.5 / state.hats**2
     expected = -np.array([[np.sum(1.0 / c), np.sum(dp / c)], [np.sum(dp / c), np.sum(dp * dp / c)]])
     assert np.allclose(jac, expected, rtol=1e-14, atol=0.0)
-    # p' = 0 there makes the system singular: no step, and no warning
-    nu = np.array([nu1, nu2])
-    assert solver._try_newton(lam, nu, state, PerceptionMetric.KL, 1.0, 0.1, 1e-9, 1e-10) is None
+    # p' = 0 there makes the undamped system singular: a damped step is taken
+    state = solver._evaluate_dual(lam, nu1, nu2, PerceptionMetric.KL, 1.0, 0.1)
+    assert_damped_step(lam, np.array([nu1, nu2]), state, PerceptionMetric.KL)
 
 
-def test_newton_step_refused_on_a_nonfinite_jacobian():
+def test_damped_step_on_a_nonfinite_jacobian():
     lam = np.array([0.5, 2.0])
     nu = np.array([1.0, 1.0])
     state = solver._evaluate_dual(lam, nu[0], nu[1], PerceptionMetric.W2, 1.0, 0.1)
     state.hats[0] = 0.0
-    assert solver._try_newton(lam, nu, state, PerceptionMetric.W2, 1.0, 0.1, 1e-9, 1e-10) is None
+    with np.errstate(all="ignore"):
+        assert not np.all(np.isfinite(solver._slack_jacobian(lam, nu[0], nu[1], state, PerceptionMetric.W2)))
+    # the step falls back to H = 0: a damped gradient step in relative units
+    assert_damped_step(lam, nu, state, PerceptionMetric.W2)
