@@ -32,19 +32,23 @@ and in ``g`` itself elsewhere.
 An element where neither closed form lands inside ``(0, lam)`` (rounding
 at degenerate multipliers) gets a nonfinite ``lambda_hat``.
 
-W2 metric: with ``theta = sqrt((lam-g)/lambda_hat)``, ``theta`` is the
-unique root of
+W2 metric: with ``u = nu1/nu2``, ``cap = 2*nu1*lam`` and
+``theta = 2*nu1*gamma``, stationarity is the balance equation
 
-    theta/(1 + (1-theta)*nu1/nu2) = sqrt(1 - theta/(2*nu1*lam))
+    theta/(1 + (1-theta)*u) = sqrt(1 - theta/cap).
 
-whose left side increases and right side decreases over the bracket
-``(0, min(1, 2*nu1*lam))``; then ``gamma = theta/(2*nu1)``,
-``lambda_hat = lam/(1 + (1-theta)*nu1/nu2)^2`` and the gap is
-``theta^2*lambda_hat``.  The difference of the two
-sides is convex and increasing, so a Newton iteration started to the right
-of the root falls onto it; it runs on the whole array at once, with
-per-element brackets and a bisection step for any element whose Newton step
-leaves its bracket.
+Both sides equal ``rho = sqrt(gap/lam)``, from which
+``theta = rho*(1 + u)/(1 + u*rho)``; squaring gives the cubic
+
+    f(rho) = u*rho^3 + rho^2 + ((1 + u*(1-cap))/cap)*rho - 1 = 0.
+
+By Descartes' rule of signs ``f`` has exactly one positive root, and it lies
+in ``(0, 1)``: ``f(0) = -1`` and ``f(1) = (1 + u)/cap``.  ``f'' = 6*u*rho + 2``
+is positive, so the tangent at any point right of the root meets zero
+between the root and that point: Newton started from an upper bound falls
+monotonically onto the root, with no bracket.  The outputs
+``gap = lam*rho^2``, ``lambda_hat = lam*((1 + u*rho)/(1 + u))^2`` and
+``gamma = theta/(2*nu1)`` are then free of cancellation.
 """
 
 from __future__ import annotations
@@ -54,7 +58,7 @@ import sys
 
 import numpy as np
 
-from .errors import ConvergenceError, DualDegenerateError
+from .errors import DualDegenerateError
 from .model import PerceptionMetric
 
 __all__ = [
@@ -66,11 +70,6 @@ __all__ = [
     "stationary_pair_w2",
     "perfect_perception_gamma",
 ]
-
-# relative Newton step at which a W2 element counts as converged; the next
-# step would be far below rounding
-_THETA_RTOL = 1e-14
-_THETA_MAX_ITER = 100
 
 
 def _check_duals(nu1: float, nu2: float) -> None:
@@ -184,40 +183,34 @@ def stationary_pair_kl(
     return gamma, gap, lam_hat
 
 
-def _theta_w2(cap: np.ndarray, u: float) -> np.ndarray:
-    """Root of the W2 balance equation for every ``cap = 2*nu1*lam``.
+def _rho_w2(cap: np.ndarray, p: float, q: float) -> tuple[np.ndarray, int]:
+    """Positive root of ``q*rho^3 + p*rho^2 + c1*rho - p`` and its pass count.
 
-    Where ``cap < 1`` the root is pinned between ``cap*(1 - y^2)`` for
-    ``y`` the left side at ``cap``, and ``cap*(1 - y0^2)`` for ``y0`` the
-    left side at that lower bound; elsewhere the bracket is ``(0, 1]``.
-    The iteration starts at the upper end, where the slope is finite, and a
-    converged element's tiny step is taken even when it touches a bracket
-    end, so that it is not bisected away from its root.
+    This is the W2 cubic over ``max(1, u)``: ``(p, q)`` is ``(1, u)`` or
+    ``(1/u, 1)`` and ``c1 = (p + q*(1 - cap))/cap``.  Newton starts at an
+    upper bound within a small factor of the root: the root without the
+    cubic term (``c1`` raised to 0) or, for ``q = 1``, a bound on the root
+    without the quadratic term, which finds the ``u^(-1/3)`` root of
+    ``cap = 1``.  It stops once no element moves down by over ``1e-8`` of
+    itself; as ``rho*f''/(2*f') <= 3`` at the root, the step then taken
+    leaves an error below ``3e-16``.  Every element descends from within a
+    small factor of its root, so the passes are few: at most 5 for ``u`` up
+    to the largest double and ``cap`` over ``[1e-12, 1e12]``.
     """
-    up = 1.0 + u
-    small = cap < 1.0
-    y = cap / (1.0 + (1.0 - cap) * u)
-    lo = np.where(small, cap * (1.0 - y * y), 0.0)
-    y0 = lo / (1.0 + (1.0 - lo) * u)
-    hi = np.where(small, cap * (1.0 - y0 * y0), 1.0)
-    # a start on t = cap would meet the infinite slope of the square root
-    t = np.where(hi < cap, hi, 0.5 * (lo + hi))
-    for _ in range(_THETA_MAX_ITER):
-        den = 1.0 + (1.0 - t) * u
-        r = np.sqrt(np.maximum(1.0 - t / cap, 0.0))
-        g = t / den - r
-        step = g / (up / (den * den) + 0.5 / (cap * r))
-        nxt = t - step
-        done = np.abs(step) <= _THETA_RTOL * t
-        if done.all():
-            return nxt
-        left = g < 0.0
-        lo = np.where(left, t, lo)
-        hi = np.where(left, hi, t)
-        t = np.where(done | ((lo < nxt) & (nxt < hi)), nxt, 0.5 * (lo + hi))
-    raise ConvergenceError(
-        "W2 balance iteration budget exhausted", max_iter=_THETA_MAX_ITER
-    )
+    c1 = (p + q * (1.0 - cap)) / cap
+    c = np.maximum(c1, 0.0)
+    rho = (2.0 * p) / (c + np.hypot(c, 2.0 * p))
+    if q == 1.0:
+        rho = np.minimum(rho, np.sqrt(np.maximum(-c1, 0.0) + p ** (2.0 / 3.0)))
+    q2, q3, p2 = 2.0 * q, 3.0 * q, 2.0 * p
+    passes = 0
+    while True:
+        passes += 1
+        # rho - f/f', its numerator collected into positive terms
+        nxt = ((q2 * rho + p) * (rho * rho) + p) / ((q3 * rho + p2) * rho + c1)
+        if not np.count_nonzero(nxt < rho * (1.0 - 1e-8)):
+            return nxt, passes
+        rho = nxt
 
 
 def stationary_pair_w2(
@@ -225,24 +218,28 @@ def stationary_pair_w2(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Optimal (water level, gap, reconstruction variance) of every W2 component.
 
-    ``theta`` is iterated until its Newton step falls below ``1e-14`` of it.
+    Each output is a product or quotient of positive terms in the root
+    ``rho`` of the W2 cubic, to a few ulps.  Where the gap is at most
+    ``lam/2`` the water level is ``lam - gap``, exact even where ``rho`` is
+    too small to carry the digits of ``theta``.
 
     Raises
     ------
     DualDegenerateError
         If either multiplier is not strictly positive.
-    ConvergenceError
-        If the balance iteration does not settle (not seen in practice).
     """
     _check_duals(nu1, nu2)
-    # a ratio that overflows is replaced by the largest double, whose root
-    # is the same to machine precision and keeps the iteration free of inf*0
+    # a ratio that overflows is replaced by the largest double; the outputs
+    # then differ only in gaps and reconstruction variances below 1e-200*lam
     u = min(nu1 / nu2, sys.float_info.max)
-    with np.errstate(all="ignore"):
-        theta = _theta_w2(2.0 * nu1 * lam, u)
-        den = 1.0 + (1.0 - theta) * u
-        hats = lam / (den * den)
-        return theta / (2.0 * nu1), theta * theta * hats, hats
+    p, q = (1.0 / u, 1.0) if u > 1.0 else (1.0, u)
+    rho, _ = _rho_w2((2.0 * nu1) * lam, p, q)
+    gap = lam * (rho * rho)
+    # (p + q*rho)/(p + q) = (1 + u*rho)/(1 + u)
+    w = p + q * rho
+    ratio = w / (p + q)
+    gamma = np.where(gap <= 0.5 * lam, lam - gap, rho * ((p + q) / (2.0 * nu1)) / w)
+    return gamma, gap, lam * (ratio * ratio)
 
 
 def perfect_perception_gamma(lam, nu1: float):

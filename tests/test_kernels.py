@@ -10,8 +10,11 @@ by bisection plus a Newton polish, and the array maps must agree with them.
 """
 
 import math
+import sys
+import warnings
 from dataclasses import dataclass
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -594,3 +597,81 @@ def test_w2_map_at_extreme_multiplier_ratio():
             t = 2.0 * nu1 * g
             correction = w2_balance(l, nu1, nu2, t) / w2_balance_slope(l, nu1, nu2, t)
             assert abs(correction) <= 1e-12 * t
+
+
+# ---------------------------------------------------------------------------
+# W2 map against 50-digit references of its cubic
+
+
+def _w2_reference(lam, nu1, nu2, digits=50, u_max=math.inf):
+    """(gamma, gap, lambda_hat) of one W2 component at ``digits`` digits.
+
+    The positive root of ``u r^3 + r^2 + ((1 + u(1 - cap))/cap) r - 1``
+    lies in ``[1/(u + 1 + max(b, 0)), 1]`` for ``b`` its linear
+    coefficient and is found by bisection of the logarithm; ``u`` is
+    capped at ``u_max`` as the library caps it at the largest double.
+    """
+    with mpmath.workdps(digits + 10):
+        lam, nu1, nu2 = mpmath.mpf(lam), mpmath.mpf(nu1), mpmath.mpf(nu2)
+        u = min(nu1 / nu2, mpmath.mpf(u_max))
+        cap = 2 * nu1 * lam
+        b = (1 + u * (1 - cap)) / cap
+
+        def f(r):
+            return ((u * r + 1) * r + b) * r - 1
+
+        lo, hi = 1 / (u + 1 + max(b, 0)), mpmath.mpf(1)
+        while hi / lo - 1 > mpmath.mpf(10) ** -(digits + 2):
+            mid = mpmath.sqrt(lo * hi)
+            if f(mid) > 0:
+                hi = mid
+            else:
+                lo = mid
+        r = (lo + hi) / 2
+        theta = r * (1 + u) / (1 + u * r)
+        return theta / (2 * nu1), lam * r * r, lam * ((1 + u * r) / (1 + u)) ** 2
+
+
+def test_w2_map_matches_50_digit_references():
+    # nu1 is a power of two, so 2*nu1*lam = cap holds exactly in doubles
+    rng = np.random.default_rng(61)
+    for _ in range(24):
+        cap = 10.0 ** rng.uniform(-6.0, 6.0)
+        u = 10.0 ** rng.uniform(-8.0, 8.0)
+        nu1 = 2.0 ** int(rng.integers(-20, 21))
+        lam = cap / (2.0 * nu1)
+        nu2 = nu1 / u
+        got = kernels.stationary_pair_w2(np.array([lam]), nu1, nu2)
+        want = _w2_reference(lam, nu1, nu2)
+        for g, w in zip(got, want):
+            assert abs(float(g[0]) / float(w) - 1.0) <= 1e-14
+
+
+def test_w2_map_at_extreme_multipliers():
+    # u from 1e-300 up to the largest double, and one ratio that overflows
+    # to it; cap = 2*nu1*lam over [1e-12, 1e12], exact for nu1 = 2^13.
+    # Gaps and reconstruction variances below the double range round to
+    # zero; every value the range holds must match the reference
+    nu1 = 8192.0
+    caps = 10.0 ** np.arange(-12.0, 13.0, 2.0)
+    lam = caps / (2.0 * nu1)
+    umax = sys.float_info.max
+    nu2s = [nu1 / 10.0**e for e in (-300, -100, -30, -8, -1, 0, 1, 8, 30, 100, 300)]
+    for nu2 in nu2s + [nu1 / umax, 1e-305]:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with np.errstate(over="raise", divide="raise", invalid="raise"):
+                out = kernels.stationary_pair_w2(lam, nu1, nu2)
+                u = min(nu1 / nu2, umax)
+                p, q = (1.0 / u, 1.0) if u > 1.0 else (1.0, u)
+                _, passes = kernels._rho_w2(2.0 * nu1 * lam, p, q)
+        assert passes <= 6
+        gamma, gap, hat = out
+        assert np.all(np.isfinite(np.stack(out)))
+        assert np.all(gamma > 0.0) and np.all(gap >= 0.0) and np.all(hat >= 0.0)
+        assert np.all(np.abs(gamma + gap - lam) <= 1e-14 * lam)
+        for k in range(lam.size):
+            want = _w2_reference(float(lam[k]), nu1, nu2, digits=30, u_max=umax)
+            for g, w in zip((gamma[k], gap[k], hat[k]), want):
+                if w >= sys.float_info.min:
+                    assert abs(float(g) / float(w) - 1.0) <= 1e-13
