@@ -8,9 +8,12 @@ Three subcommands share one input vocabulary:
 ``curve``
     Evaluate a grid of queries (either budget may be a grid) and emit a
     CSV or JSON table, one row per grid point in distortion-major order.
+    Grid points are solved serially, in that order; ``--jobs N`` is
+    accepted (N >= 1) and ignored.
 ``verify``
     Solve one query, re-solve it with the independent barrier minimizer,
-    and sample the achieving distributions; report every check.
+    and sample the achieving distributions; report every check as JSON,
+    with rates in nats (``--format csv`` and ``--unit bits`` are refused).
 
 Sources are given inline (``--lambdas 1,0.5``) or as a covariance file:
 first line the dimension L, then L whitespace-separated rows of L reals.
@@ -35,7 +38,6 @@ import argparse
 import json
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -163,7 +165,6 @@ class RunConfig:
     output_format: str = "json"
     rate_unit: str = "nats"
     seed: int = 0
-    jobs: int = 1
     samples: int = 50000
     output_path: str | None = None
 
@@ -176,8 +177,6 @@ class RunConfig:
             raise CliInputError(f"unknown output format {self.output_format!r}")
         if self.rate_unit not in ("nats", "bits"):
             raise CliInputError(f"unknown rate unit {self.rate_unit!r}")
-        if self.jobs < 1:
-            raise CliInputError(f"--jobs must be >= 1, got {self.jobs}")
         if self.samples < 1000:
             raise CliInputError(f"--samples must be >= 1000, got {self.samples}")
         unconstrained = self.metric is PerceptionMetric.UNCONSTRAINED
@@ -305,8 +304,8 @@ def run_curve(cfg: RunConfig) -> CurveSweep:
     """Evaluate the full budget grid; failures become tagged rows.
 
     Rows are in distortion-major order: the distortion grid is the outer
-    loop. Evaluation is spread over ``cfg.jobs`` threads but results are
-    collected in grid order, so the output is independent of scheduling.
+    loop. Points are solved one after another in that order; ``--jobs``
+    has no effect here.
     """
     if not (isinstance(cfg.distortion, GridSpec) or isinstance(cfg.perception, GridSpec)):
         raise CliInputError("curve needs a grid for at least one budget")
@@ -315,8 +314,7 @@ def run_curve(cfg: RunConfig) -> CurveSweep:
     p_values = _grid_values(cfg.perception)
     pairs = [(d, p) for d in d_values for p in p_values]
 
-    def eval_one(pair):
-        d, p = pair
+    def eval_one(d, p):
         try:
             q = _build_query(d, p, cfg.metric)
         except DomainError:
@@ -326,11 +324,7 @@ def run_curve(cfg: RunConfig) -> CurveSweep:
         except ConvergenceError:
             return None, "convergence_failure"
 
-    if cfg.jobs == 1:
-        results = [eval_one(pair) for pair in pairs]
-    else:
-        with ThreadPoolExecutor(max_workers=cfg.jobs) as pool:
-            results = list(pool.map(eval_one, pairs))
+    results = [eval_one(d, p) for d, p in pairs]
 
     metadata = {
         "metric": cfg.metric.value,
@@ -527,8 +521,7 @@ def run_verify(cfg: RunConfig) -> dict:
         oracle_method = "barrier"
     diff = abs(sol.total_rate - oracle_rate)
     rate_tol = max(1e-4, 1e-3 * sol.total_rate)
-    metric = None if cfg.metric is PerceptionMetric.UNCONSTRAINED else cfg.metric
-    reports = verify_solution(s, sol, cfg.samples, cfg.seed, metric=metric)
+    reports = verify_solution(s, sol, cfg.samples, cfg.seed, metric=cfg.metric)
     mc = [
         {
             "component": i + 1,
@@ -618,6 +611,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
+    if args.jobs < 1:
+        raise CliInputError(f"--jobs must be >= 1, got {args.jobs}")
+    if args.command == "verify" and (args.format == "csv" or args.unit == "bits"):
+        flag = "--format csv" if args.format == "csv" else "--unit bits"
+        raise CliInputError(f"verify writes a JSON report in nats; {flag} is not supported")
     fmt = args.format
     if fmt is None:
         fmt = "csv" if args.command == "curve" else "json"
@@ -630,7 +628,6 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
         output_format=fmt,
         rate_unit=args.unit,
         seed=args.seed,
-        jobs=args.jobs,
         samples=args.samples,
         output_path=args.output,
     )

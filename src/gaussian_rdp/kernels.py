@@ -54,7 +54,6 @@ monotonically onto the root, with no bracket.  The outputs
 from __future__ import annotations
 
 import math
-import sys
 
 import numpy as np
 
@@ -221,7 +220,10 @@ def stationary_pair_w2(
     Each output is a product or quotient of positive terms in the root
     ``rho`` of the W2 cubic, to a few ulps.  Where the gap is at most
     ``lam/2`` the water level is ``lam - gap``, exact even where ``rho`` is
-    too small to carry the digits of ``theta``.
+    too small to carry the digits of ``theta``.  Where ``nu2/nu1``
+    underflows to zero the smallest subnormal takes its place, so the
+    ratio ``u`` is clamped only above about ``2e323``; the outputs then
+    differ only in gaps and reconstruction variances below ``3e-216*lam``.
 
     Raises
     ------
@@ -229,10 +231,7 @@ def stationary_pair_w2(
         If either multiplier is not strictly positive.
     """
     _check_duals(nu1, nu2)
-    # a ratio that overflows is replaced by the largest double; the outputs
-    # then differ only in gaps and reconstruction variances below 1e-200*lam
-    u = min(nu1 / nu2, sys.float_info.max)
-    p, q = (1.0 / u, 1.0) if u > 1.0 else (1.0, u)
+    p, q = (max(nu2 / nu1, 5e-324), 1.0) if nu1 > nu2 else (1.0, nu1 / nu2)
     rho, _ = _rho_w2((2.0 * nu1) * lam, p, q)
     gap = lam * (rho * rho)
     # (p + q*rho)/(p + q) = (1 + u*rho)/(1 + u)

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from gaussian_rdp import PerceptionMetric
+from gaussian_rdp import NonPositiveDistortionError, PerceptionMetric
 from gaussian_rdp.cli import (
     CliInputError,
     GridSpec,
@@ -375,6 +375,56 @@ def test_curve_json_rows_match_point_records(capsys):
         assert row == record
 
 
+def _csv_lines():
+    cfg = _curve_cfg(distortion=GridSpec(0.0, 1.0, 2), perception=0.2)
+    return curve_to_csv(run_curve(cfg)).splitlines()
+
+
+def _replace_line(lines, i, line):
+    return "\n".join(lines[:i] + [line] + lines[i + 1 :]) + "\n"
+
+
+def _replace_field(lines, i, j, value):
+    fields = lines[i].split(",")
+    fields[j] = value
+    return _replace_line(lines, i, ",".join(fields))
+
+
+@pytest.mark.parametrize(
+    "edit, error, message",
+    [
+        (lambda ls: "# no colon here\n" + "\n".join(ls), CliInputError, "without a colon"),
+        (lambda ls: "\n".join(l for l in ls if l.startswith("#")), CliInputError, "no header"),
+        (lambda ls: _replace_field(ls, 4, 3, "speed"), CliInputError, "rate column"),
+        (lambda ls: _replace_field(ls, 4, 3, "rate_hartleys"), CliInputError, "rate unit"),
+        (lambda ls: _replace_line(ls, 4, ls[4] + ",extra"), CliInputError, r"not 10 \+ 3L"),
+        (lambda ls: _replace_line(ls, 6, ls[6].rsplit(",", 1)[0]), CliInputError, "expected 16 fields"),
+        (lambda ls: _replace_field(ls, 6, 7, "abc"), CliInputError, "data row 2: could not convert"),
+        (lambda ls: _replace_field(ls, 6, 4, "Sideways"), CliInputError, "data row 2: .Sideways"),
+        (lambda ls: _replace_field(ls, 6, 0, "0"), NonPositiveDistortionError, "distortion"),
+    ],
+    ids=[
+        "comment-without-colon",
+        "no-header",
+        "bad-rate-column",
+        "bad-unit",
+        "header-not-10-plus-3L",
+        "short-row",
+        "non-numeric-field",
+        "unknown-case-tag",
+        "solved-row-at-zero-distortion",
+    ],
+)
+def test_curve_from_csv_rejects_malformed_files(edit, error, message):
+    # four metadata lines, the header, an infeasible row at D = 0 and a
+    # solved row at D = 1 for a two-component source
+    lines = _csv_lines()
+    assert lines[4].startswith("D,P,") and lines[5].split(",")[4] == "infeasible"
+    with pytest.raises(error, match=message) as info:
+        curve_from_csv(edit(lines))
+    assert type(info.value) is error
+
+
 def test_curve_jobs_output_identical(tmp_path):
     argv = [
         "curve",
@@ -551,6 +601,14 @@ def test_exit_codes_for_bad_input(capsys):
     assert "--jobs must be >= 1" in capsys.readouterr().err
     assert main(["verify", *base, "--samples", "999"]) == 1
     assert "--samples must be >= 1000" in capsys.readouterr().err
+    # verify writes JSON in nats; the other format and unit are refused
+    assert main(["verify", *base, "--format", "csv"]) == 1
+    assert "--format csv" in capsys.readouterr().err
+    assert main(["verify", *base, "--unit", "bits"]) == 1
+    assert "--unit bits" in capsys.readouterr().err
+    for flags in (["--format", "json"], ["--unit", "nats"]):
+        assert main(["verify", *base, "--samples", "1000", *flags]) == 0
+        assert json.loads(capsys.readouterr().out)["all_pass"]
 
 
 def test_output_file_written(tmp_path):

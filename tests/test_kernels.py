@@ -603,17 +603,16 @@ def test_w2_map_at_extreme_multiplier_ratio():
 # W2 map against 50-digit references of its cubic
 
 
-def _w2_reference(lam, nu1, nu2, digits=50, u_max=math.inf):
+def _w2_reference(lam, nu1, nu2, digits=50):
     """(gamma, gap, lambda_hat) of one W2 component at ``digits`` digits.
 
     The positive root of ``u r^3 + r^2 + ((1 + u(1 - cap))/cap) r - 1``
     lies in ``[1/(u + 1 + max(b, 0)), 1]`` for ``b`` its linear
-    coefficient and is found by bisection of the logarithm; ``u`` is
-    capped at ``u_max`` as the library caps it at the largest double.
+    coefficient and is found by bisection of the logarithm.
     """
     with mpmath.workdps(digits + 10):
         lam, nu1, nu2 = mpmath.mpf(lam), mpmath.mpf(nu1), mpmath.mpf(nu2)
-        u = min(nu1 / nu2, mpmath.mpf(u_max))
+        u = nu1 / nu2
         cap = 2 * nu1 * lam
         b = (1 + u * (1 - cap)) / cap
 
@@ -647,31 +646,44 @@ def test_w2_map_matches_50_digit_references():
             assert abs(float(g[0]) / float(w) - 1.0) <= 1e-14
 
 
+def _w2_map_checked(lam, nu1, nu2):
+    """The W2 map and its Newton pass count, with any RuntimeWarning or
+    floating-point exception raised."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            out = kernels.stationary_pair_w2(lam, nu1, nu2)
+            p, q = (max(nu2 / nu1, 5e-324), 1.0) if nu1 > nu2 else (1.0, nu1 / nu2)
+            _, passes = kernels._rho_w2(2.0 * nu1 * lam, p, q)
+    gamma, gap, hat = out
+    assert passes <= 6
+    assert np.all(np.isfinite(np.stack(out)))
+    assert np.all(gamma > 0.0) and np.all(gap >= 0.0) and np.all(hat >= 0.0)
+    assert np.all(np.abs(gamma + gap - lam) <= 1e-14 * lam)
+    return out
+
+
 def test_w2_map_at_extreme_multipliers():
-    # u from 1e-300 up to the largest double, and one ratio that overflows
-    # to it; cap = 2*nu1*lam over [1e-12, 1e12], exact for nu1 = 2^13.
-    # Gaps and reconstruction variances below the double range round to
-    # zero; every value the range holds must match the reference
+    # u from 1e-300 up to the largest double, and one ratio (8192/1e-305)
+    # that overflows it; cap = 2*nu1*lam over [1e-12, 1e12], exact for
+    # nu1 = 2^13. Gaps and reconstruction variances below the double range
+    # round to zero; every value the range holds must match the uncapped
+    # reference
     nu1 = 8192.0
     caps = 10.0 ** np.arange(-12.0, 13.0, 2.0)
     lam = caps / (2.0 * nu1)
-    umax = sys.float_info.max
     nu2s = [nu1 / 10.0**e for e in (-300, -100, -30, -8, -1, 0, 1, 8, 30, 100, 300)]
-    for nu2 in nu2s + [nu1 / umax, 1e-305]:
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", RuntimeWarning)
-            with np.errstate(over="raise", divide="raise", invalid="raise"):
-                out = kernels.stationary_pair_w2(lam, nu1, nu2)
-                u = min(nu1 / nu2, umax)
-                p, q = (1.0 / u, 1.0) if u > 1.0 else (1.0, u)
-                _, passes = kernels._rho_w2(2.0 * nu1 * lam, p, q)
-        assert passes <= 6
-        gamma, gap, hat = out
-        assert np.all(np.isfinite(np.stack(out)))
-        assert np.all(gamma > 0.0) and np.all(gap >= 0.0) and np.all(hat >= 0.0)
-        assert np.all(np.abs(gamma + gap - lam) <= 1e-14 * lam)
+    for nu2 in nu2s + [nu1 / sys.float_info.max, 1e-305]:
+        gamma, gap, hat = _w2_map_checked(lam, nu1, nu2)
         for k in range(lam.size):
-            want = _w2_reference(float(lam[k]), nu1, nu2, digits=30, u_max=umax)
+            want = _w2_reference(float(lam[k]), nu1, nu2, digits=30)
             for g, w in zip((gamma[k], gap[k], hat[k]), want):
                 if w >= sys.float_info.min:
                     assert abs(float(g) / float(w) - 1.0) <= 1e-13
+    # the ratio 8192/1e-305 at cap = 1, where the gap goes as u^(-2/3)
+    _, gap, _ = _w2_map_checked(lam, nu1, 1e-305)
+    assert abs(float(gap[6]) / 6.97e-211 - 1.0) <= 1e-3
+    # nu2/nu1 rounds to zero: the smallest subnormal takes its place, and the
+    # map stays finite and warning-free with gamma + gap = lam
+    assert 1e-320 / nu1 == 0.0
+    _w2_map_checked(lam, nu1, 1e-320)
