@@ -59,7 +59,6 @@ from .oracle import (
 from .montecarlo import (
     JointGaussianPair,
     SampleReport,
-    analytic_component_stats,
     build_pair,
     sample_and_measure,
     verify_solution,
@@ -90,7 +89,6 @@ __all__ = [
     "SourceSpectrum",
     "TradeoffQuery",
     "WaterLevel",
-    "analytic_component_stats",
     "build_pair",
     "check_gradients",
     "from_covariance",

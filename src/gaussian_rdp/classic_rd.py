@@ -79,13 +79,11 @@ def water_level(s: SourceSpectrum, D: float) -> WaterLevel:
     # tail[k] = sum of the variances below the k active components, summed
     # smallest-first; the form (D - tail) / k avoids cancellation at small D
     tail = np.concatenate((np.cumsum(desc[::-1])[::-1], [0.0]))
-    nu = D / lam.size
-    for k in range(1, lam.size + 1):
-        candidate = (D - float(tail[k])) / k
-        next_break = desc[k] if k < lam.size else -math.inf
-        if candidate >= next_break:
-            nu = candidate
-            break
+    # the level with k active components, against the next breakpoint; the
+    # last candidate meets -inf, so argmax always finds the first that fits
+    candidates = (D - tail[1:]) / np.arange(1, lam.size + 1)
+    next_break = np.concatenate((desc[1:], [-math.inf]))
+    nu = float(candidates[np.argmax(candidates >= next_break)])
     return WaterLevel(nu=nu, per_component=np.minimum(nu, lam))
 
 

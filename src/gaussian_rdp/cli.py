@@ -181,7 +181,7 @@ class RunConfig:
             raise CliInputError(f"--samples must be >= 1000, got {self.samples}")
         unconstrained = self.metric is PerceptionMetric.UNCONSTRAINED
         if unconstrained:
-            if isinstance(self.perception, GridSpec) or math.isfinite(self.perception):
+            if isinstance(self.perception, GridSpec) or self.perception != math.inf:
                 raise CliInputError(
                     "--perception must be inf (or omitted) with --metric none"
                 )
@@ -253,12 +253,6 @@ def _scalar(value: float | GridSpec, field: str) -> float:
     return value
 
 
-def _build_query(D: float, P: float, metric: PerceptionMetric) -> TradeoffQuery:
-    if metric is PerceptionMetric.UNCONSTRAINED:
-        P = math.inf
-    return TradeoffQuery(distortion_budget=D, perception_budget=P, metric=metric)
-
-
 def _unit_factor(unit: str) -> float:
     return 1.0 / _LN2 if unit == "bits" else 1.0
 
@@ -289,7 +283,7 @@ def run_point(cfg: RunConfig) -> tuple[SourceSpectrum, RdpSolution, TradeoffQuer
     s = _source(cfg)
     D = _scalar(cfg.distortion, "--distortion")
     P = _scalar(cfg.perception, "--perception")
-    q = _build_query(D, P, cfg.metric)
+    q = TradeoffQuery(D, P, cfg.metric)
     sol = solve(s, q)
     return s, sol, q
 
@@ -316,7 +310,7 @@ def run_curve(cfg: RunConfig) -> CurveSweep:
 
     def eval_one(d, p):
         try:
-            q = _build_query(d, p, cfg.metric)
+            q = TradeoffQuery(d, p, cfg.metric)
         except DomainError:
             return None, "infeasible"
         try:
@@ -467,7 +461,7 @@ def curve_from_csv(text: str) -> CurveSweep:
             )
         )
         # a solved row must carry budgets that form a valid query
-        _build_query(d, p, row_metric)
+        TradeoffQuery(d, p, row_metric)
         failures.append(None)
     return CurveSweep(
         distortions=tuple(distortions),

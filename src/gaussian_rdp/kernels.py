@@ -97,14 +97,17 @@ def perception_terms(lam, lambda_hats, metric: PerceptionMetric):
 
     KL is ``+inf`` at ``lambda_hat = 0`` (point mass against a density),
     which is what rejects zero-variance reconstructions under any finite
-    KL budget; its ``x - log1p(x)`` form, with ``x = lambda_hat/lam - 1``,
-    keeps relative precision for divergences far below one.  With no
-    metric every term is NaN.
+    KL budget.  With ``r = lambda_hat/lam`` and ``x = r - 1`` the term is
+    ``(x - log1p(x))/2``, or ``(x - log(r))/2`` where ``r < 1/2``, because
+    ``x`` has lost the digits of a small ``r`` there.  Near ``r = 1`` the
+    two parts cancel, which leaves a relative accuracy of about eps/|x|.
+    With no metric every term is NaN.
     """
     if metric is PerceptionMetric.KL:
-        x = lambda_hats / lam - 1.0
+        r = lambda_hats / lam
+        x = r - 1.0
         with np.errstate(divide="ignore"):
-            return 0.5 * (x - np.log1p(x))
+            return 0.5 * np.where(r < 0.5, x - np.log(r), x - np.log1p(x))
     if metric is PerceptionMetric.W2:
         d = np.sqrt(lam) - np.sqrt(lambda_hats)
         return d * d

@@ -3,10 +3,10 @@
 For each component the optimal reconstruction is jointly Gaussian with the
 source coordinate, with cross-covariance sqrt(lambda_hat*(lam-gamma)).
 This module builds that 2x2 law, draws from it reproducibly, and compares
-the empirical squared-error distortion with the closed form.  Perception
-divergences and mutual information are evaluated analytically from the
-construction; estimating them from samples would introduce estimator bias
-with no bearing on what is being verified.
+the empirical squared-error distortion with the closed form.  Only the
+distortion is sampled: perception divergences follow analytically from the
+construction, and estimating them from samples would introduce estimator
+bias with no bearing on what is being verified.
 
 Sampling is reproducible: each (seed, stream) seeds its own numpy
 ``Generator`` over the SFC64 bit generator (both taken modulo 2**64), so
@@ -16,13 +16,13 @@ row ``i`` holding sample ``i``'s pair, so block boundaries do not change
 which values each sample gets.
 
 Each block of ``_BLOCK`` rows is drawn into one buffer that every block
-reuses, and reduced through a second reused buffer to the eight moment
-sums of the normals up to fourth order: three row sums of the products
-n0^2, n0*n1, n1^2 and five level-1 dot products between those rows.  The
-source coordinate, its reconstruction and their difference are fixed
-linear forms in the two normals, so every statistic follows from those
-sums in closed form.  Memory does not grow with ``n``, and a block stays
-in cache.
+reuses.  The difference of the source coordinate and its reconstruction
+is a fixed linear form in the two normals, so one matrix-vector product
+forms it for the whole block in a second reused buffer.  Squared in
+place, that buffer adds the block's share to the sums of the squared and
+the fourth-power differences, from which the mean distortion and its
+standard error follow.  Memory does not grow with ``n``, and a block
+stays in cache.
 """
 
 from __future__ import annotations
@@ -41,7 +41,6 @@ __all__ = [
     "SampleReport",
     "build_pair",
     "sample_and_measure",
-    "analytic_component_stats",
     "verify_solution",
 ]
 
@@ -71,11 +70,8 @@ class SampleReport:
     n_samples: int
     empirical_distortion: float
     analytic_distortion: float
-    empirical_mi_estimate: float | None
     standard_error: float
     seed: int
-    empirical_reconstruction_variance: float
-    reconstruction_variance_se: float
 
     @property
     def within_four_se(self) -> bool:
@@ -121,33 +117,12 @@ def _lower_factor(pair: JointGaussianPair):
     return math.sqrt(lam), math.sqrt(rad21), math.sqrt(rad22)
 
 
-def _power_sums(a: float, b: float, second, fourth) -> tuple[float, float]:
-    """Sums of (a*n0 + b*n1)**2 and (a*n0 + b*n1)**4 over the samples.
-
-    ``second`` holds the sums of n0^2, n0*n1 and n1^2, ``fourth`` those of
-    n0^4, n0^3*n1, n0^2*n1^2, n0*n1^3 and n1^4.
-    """
-    s20, s11, s02 = second
-    s40, s31, s22, s13, s04 = fourth
-    quad = a * a * s20 + 2.0 * a * b * s11 + b * b * s02
-    quart = (
-        a**4 * s40
-        + 4.0 * a**3 * b * s31
-        + 6.0 * a * a * b * b * s22
-        + 4.0 * a * b**3 * s13
-        + b**4 * s04
-    )
-    return float(quad), float(quart)
-
-
 def sample_and_measure(
     pair: JointGaussianPair, n: int, seed: int, stream: int = 0
 ) -> SampleReport:
     """Draw ``n`` joint samples and compare distortions.
 
     Requires ``n >= 1000`` so the reported standard error means something.
-    The mutual-information estimate is the Gaussian plug-in from the
-    empirical second moments, or None for a degenerate reconstruction.
 
     Raises
     ------
@@ -163,45 +138,29 @@ def sample_and_measure(
     rng = np.random.Generator(np.random.SFC64([seed & _MASK, stream & _MASK]))
 
     # each block streams through the same two buffers: row i of ``draws``
-    # holds sample i's pair, and ``prods`` its products n0^2, n0*n1, n1^2
+    # holds sample i's pair, and ``diffs`` its squared difference
+    # (z - zh)^2, where z - zh = (l11 - l21)*n0 - l22*n1; l11 and l21
+    # differ by less than a factor of two whenever they nearly cancel, so
+    # their difference is exact
     rows = min(_BLOCK, n)
     draws = np.empty((rows, 2))
-    prods = np.empty((3, rows))
-    second = np.zeros(3)
-    # sums of n0^4, n0^3*n1, n0^2*n1^2, n0*n1^3 and n1^4
-    fourth = np.zeros(5)
+    diffs = np.empty(rows)
+    coef = np.array([l11 - l21, -l22])
+    sum_d = sum_d2 = 0.0
     done = 0
     while done < n:
         count = min(_BLOCK, n - done)
         normals = draws[:count]
         rng.standard_normal(out=normals)
-        q = prods[:, :count]
-        q0, q1, q2 = q
-        np.multiply(normals[:, 0], normals[:, 0], out=q0)
-        np.multiply(normals[:, 0], normals[:, 1], out=q1)
-        np.multiply(normals[:, 1], normals[:, 1], out=q2)
-        second += q.sum(axis=1)
-        # q1.q1 stands in for q0.q2: both are the sum of n0^2*n1^2
-        fourth += (q0 @ q0, q0 @ q1, q1 @ q1, q1 @ q2, q2 @ q2)
+        d = diffs[:count]
+        np.matmul(normals, coef, out=d)
+        np.multiply(d, d, out=d)
+        sum_d += float(d.sum())
+        sum_d2 += float(d @ d)
         done += count
 
-    # z - zh = (l11 - l21)*n0 - l22*n1; l11 and l21 differ by less than a
-    # factor of two whenever they nearly cancel, so the difference is exact
-    sum_d, sum_d2 = _power_sums(l11 - l21, -l22, second, fourth)
-    sum_h2, sum_h4 = _power_sums(l21, l22, second, fourth)
     mean_d = sum_d / n
     var_d = max(sum_d2 - n * mean_d * mean_d, 0.0) / (n - 1)
-    se = math.sqrt(var_d / n)
-    mean_h2 = sum_h2 / n
-    var_h2 = max(sum_h4 - n * mean_h2 * mean_h2, 0.0) / (n - 1)
-    # the plug-in -log(1 - rho^2)/2 for z = l11*n0 and zh, taken as
-    # log1p(rho^2/(1 - rho^2))/2: both parts of that ratio are free of
-    # cancellation, even where rho^2 is near 0 or near 1
-    s20, s11, s02 = second
-    unexplained = l22 * l22 * (s20 * s02 - s11 * s11)
-    mi = None
-    if unexplained > 0.0:
-        mi = 0.5 * math.log1p((l21 * s20 + l22 * s11) ** 2 / unexplained)
     analytic = float(
         distortion_terms(pair.gamma, pair.lam - pair.gamma, pair.lambda_hat)
     )
@@ -209,24 +168,9 @@ def sample_and_measure(
         n_samples=n,
         empirical_distortion=mean_d,
         analytic_distortion=analytic,
-        empirical_mi_estimate=mi,
-        standard_error=se,
+        standard_error=math.sqrt(var_d / n),
         seed=seed,
-        empirical_reconstruction_variance=mean_h2,
-        reconstruction_variance_se=math.sqrt(var_h2 / n),
     )
-
-
-def analytic_component_stats(pair: JointGaussianPair) -> tuple[float, float, float]:
-    """Mutual information and both perception divergences, closed form.
-
-    Returns (mi, kl, w2) in nats; kl is +inf for a collapsed
-    reconstruction with ``lambda_hat = 0``.
-    """
-    mi = 0.5 * math.log(pair.lam / pair.gamma)
-    kl = float(perception_terms(pair.lam, pair.lambda_hat, PerceptionMetric.KL))
-    w2 = float(perception_terms(pair.lam, pair.lambda_hat, PerceptionMetric.W2))
-    return mi, kl, w2
 
 
 def verify_solution(

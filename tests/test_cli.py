@@ -596,6 +596,11 @@ def test_exit_codes_for_bad_input(capsys):
         == 1
     )
     capsys.readouterr()
+    # metric none takes only P = +inf, not any other budget that is not finite
+    for bad in ("nan", "-inf"):
+        args = ["point", "--lambdas", "1", "--metric", "none", "--distortion", "1"]
+        assert main([*args, f"--perception={bad}"]) == 1
+        assert "--perception must be inf" in capsys.readouterr().err
     base = ["--lambdas", "1", "--metric", "none", "--distortion", "0.5"]
     assert main(["curve", *base[:-1], "0.1:0.5:3", "--jobs", "0"]) == 1
     assert "--jobs must be >= 1" in capsys.readouterr().err

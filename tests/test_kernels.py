@@ -365,6 +365,24 @@ def test_kl_component_values():
     assert abs(array_terms(1.0, 0.5, math.e)[1] - want) < 1e-15
     assert math.isinf(perception_component_kl(1.0, 0.0))
     assert math.isinf(array_terms(1.0, 0.5, 0.0)[1])
+    # lambda_hat = lam/4: (1/4 - 1 - log(1/4))/2
+    want = (math.log(4.0) - 0.75) / 2.0
+    assert abs(array_terms(4.0, 4.0, 1.0)[1] - want) < 1e-15
+
+
+@pytest.mark.parametrize("lam", [1.0, 3.7, 2e-5])
+def test_kl_terms_keep_the_digits_of_a_small_variance_ratio(lam):
+    # x = lambda_hat/lam - 1 rounds away the digits of a small ratio r, so
+    # x - log1p(x) loses about eps/r relative (1e-8 at r = 1e-9); the
+    # kernel takes x - log(r) there
+    ratios = [0.4, 1e-3, 1e-9, 1e-15, 1e-300]
+    hats = np.array([r * lam for r in ratios])
+    got = kernels.perception_terms(np.full(len(ratios), lam), hats, PerceptionMetric.KL)
+    with mpmath.workdps(50):
+        for value, hat in zip(got, hats):
+            r = mpmath.mpf(float(hat)) / mpmath.mpf(lam)
+            want = float((r - 1 - mpmath.log(r)) / 2)
+            assert abs(value - want) <= 1e-14 * want, (hat / lam, value, want)
 
 
 def test_w2_component_values():
@@ -372,6 +390,7 @@ def test_w2_component_values():
         assert w2(1.0, 1.0) == 0.0
         assert w2(4.0, 0.0) == 4.0
         assert abs(w2(4.0, 1.0) - 1.0) < 1e-15
+        assert abs(w2(1.0, 0.25) - 0.25) < 1e-15
 
 
 def test_rate_terms_take_small_rates_from_the_gap():

@@ -400,6 +400,15 @@ _RECIPES = {seed: wide_fuzz_queries(300, seed) for seed, _ in FALLBACK_QUERIES}
 WIDE_QUERIES = {f"q{i}": q for i, q in enumerate(wide_fuzz_queries(30))}
 WIDE_QUERIES.update({f"s{seed}q{i}": _RECIPES[seed][i] for seed, i in FALLBACK_QUERIES})
 WIDE_QUERIES["s17q141-normalized"] = normalized(_RECIPES[17][141])
+# large KL budgets, where lambda_hat/lam falls far below one on a small
+# component: the KL term once lost that ratio's digits and the search raised
+WIDE_QUERIES.update(
+    {
+        f"kl-{name}-P{P:g}": (np.array(lam), D, P, PerceptionMetric.KL)
+        for name, lam, D in (("two", [0.01, 1.0], 0.5), ("spread", [1e-6, 1.0, 1e6, 3.0], 1.0))
+        for P in (10.0, 12.0)
+    }
+)
 
 
 @pytest.mark.parametrize("query", WIDE_QUERIES.values(), ids=WIDE_QUERIES.keys())
