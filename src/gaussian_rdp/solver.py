@@ -165,29 +165,35 @@ def _try_newton(
     condition on the gain ``b @ y``; otherwise ``mu`` grows tenfold, from
     at least 1e-6 of the larger of ``tr H`` and ``max |b|``.  Undamped
     steps must cut the slacks: on the Armijo test alone, full Newton steps
-    can walk a search toward ``nu = 0``.  Returns the new multipliers,
-    their evaluation and the ``mu`` that was accepted.
+    can walk a search toward ``nu = 0``.  The 2 by 2 algebra runs on
+    Python floats, by Cramer's rule; a singular system (``det = 0``) has
+    no step and is damped further.  Returns the new multipliers, their
+    evaluation and the ``mu`` that was accepted.
     """
-    b = nu * np.array([state.slack_d, state.slack_p])
+    nu1, nu2 = nu.tolist()
+    b0, b1 = nu1 * state.slack_d, nu2 * state.slack_p
     with np.errstate(all="ignore"):
-        hess = -nu[:, None] * _slack_jacobian(lam, nu[0], nu[1], state, metric) * nu
-    if not np.all(np.isfinite(hess)):
-        hess = np.zeros((2, 2))
-    mu_floor = 1e-6 * max(hess[0, 0] + hess[1, 1], float(np.max(np.abs(b))))
+        (j00, j01), (j10, j11) = _slack_jacobian(lam, nu[0], nu[1], state, metric).tolist()
+    h00, h01, h10, h11 = -nu1 * j00 * nu1, -nu1 * j01 * nu2, -nu2 * j10 * nu1, -nu2 * j11 * nu2
+    if not all(map(math.isfinite, (h00, h01, h10, h11))):
+        h00 = h01 = h11 = 0.0
+    mu_floor = 1e-6 * max(h00 + h11, abs(b0), abs(b1))
     phi = max(abs(state.slack_d) / tol_d, abs(state.slack_p) / tol_p)
     for _ in range(_MAX_DAMPINGS):
-        a00, a11, a01 = hess[0, 0] + mu, hess[1, 1] + mu, hess[0, 1]
-        with np.errstate(all="ignore"):
-            det = a00 * a11 - a01 * a01
-            y = np.array([a11 * b[0] - a01 * b[1], a00 * b[1] - a01 * b[0]]) / det
-        if np.all(np.isfinite(y)) and np.all(y > -0.9):
-            cand = nu * (1.0 + y)
-            st = _evaluate_dual(lam, cand[0], cand[1], metric, D, P)
-            cand_phi = max(abs(st.slack_d) / tol_d, abs(st.slack_p) / tol_p)
-            if cand_phi < 0.9 * phi or (
-                mu > 0.0 and st.value >= state.value + _ARMIJO_C * float(b @ y)
-            ):
-                return cand, st, mu
+        a00, a11 = h00 + mu, h11 + mu
+        det = a00 * a11 - h01 * h01
+        # dividing a float by zero raises; a singular system has no step
+        if det != 0.0:
+            y0 = (a11 * b0 - h01 * b1) / det
+            y1 = (a00 * b1 - h01 * b0) / det
+            if -0.9 < y0 < math.inf and -0.9 < y1 < math.inf:
+                cand = np.array([nu1 * (1.0 + y0), nu2 * (1.0 + y1)])
+                st = _evaluate_dual(lam, cand[0], cand[1], metric, D, P)
+                cand_phi = max(abs(st.slack_d) / tol_d, abs(st.slack_p) / tol_p)
+                if cand_phi < 0.9 * phi or (
+                    mu > 0.0 and st.value >= state.value + _ARMIJO_C * (b0 * y0 + b1 * y1)
+                ):
+                    return cand, st, mu
         mu = max(10.0 * mu, mu_floor)
     return None
 

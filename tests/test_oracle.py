@@ -317,6 +317,21 @@ def _interior_barrier_problem(kind, rng):
     return problem, x
 
 
+def _dense_derivatives(problem, x, mu):
+    """Gradient and dense Hessian of the barrier function, assembled from
+    the scaled blocks and rank-one terms the barrier problem returns."""
+    grad, c = problem.derivatives(x, mu, problem.slacks(x))
+    n = c.h_gamma.size
+    idx = np.arange(n)
+    hess = sum(mu * np.outer(v, v) for v in c.u)
+    hess[idx, idx] += c.h_gamma
+    if c.h_hat is not None:
+        hess[idx + n, idx + n] += c.h_hat
+        hess[idx, idx + n] += c.h_cross
+        hess[idx + n, idx] += c.h_cross
+    return grad, hess / np.outer(c.scale, c.scale)
+
+
 @pytest.mark.parametrize("kind", ["kl", "w2", "none", "p0"])
 def test_barrier_hessian_is_positive_definite_inside(kind):
     # every barrier stage takes the Newton direction with no fallback: that
@@ -326,9 +341,42 @@ def test_barrier_hessian_is_positive_definite_inside(kind):
     for _ in range(20):
         problem, x = _interior_barrier_problem(kind, rng)
         for mu in (1.0, 1e-4, 1e-8):
-            _, hess = problem.derivatives(x, mu)
+            _, hess = _dense_derivatives(problem, x, mu)
             assert np.array_equal(hess, hess.T)
             np.linalg.cholesky(hess)
+
+
+@pytest.mark.parametrize("kind", ["kl", "w2", "none", "p0"])
+def test_structured_newton_direction_matches_a_dense_solve(kind):
+    # the oracle solves the Newton system by its blocks and rank-one terms;
+    # the reference is a dense solve of the Jacobi-scaled Hessian, since an
+    # unscaled LU of this spread of scales is itself off by up to 1e-9
+    rng = np.random.default_rng(59)
+    for _ in range(20):
+        problem, x = _interior_barrier_problem(kind, rng)
+        for mu in (1.0, 1e-4, 1e-8):
+            grad, hess = _dense_derivatives(problem, x, mu)
+            scale = 1.0 / np.sqrt(np.diag(hess))
+            ref = scale * np.linalg.solve(scale[:, None] * hess * scale, -grad * scale)
+            _, curvature = problem.derivatives(x, mu, problem.slacks(x))
+            err = curvature.solve(-grad) - ref
+            assert math.sqrt(err @ hess @ err) <= 1e-12 * math.sqrt(ref @ hess @ ref)
+
+
+def test_oracle_makes_no_dense_solve(monkeypatch):
+    def refused(*args, **kwargs):
+        raise AssertionError("the oracle called numpy.linalg.solve")
+
+    monkeypatch.setattr(np.linalg, "solve", refused)
+    s = spectrum(3.0, 2.0, 1.0)
+    for q in (
+        TradeoffQuery(2.0, 0.05, PerceptionMetric.KL),
+        TradeoffQuery(2.0, 0.2, PerceptionMetric.W2),
+        TradeoffQuery(2.0, math.inf, PerceptionMetric.UNCONSTRAINED),
+        TradeoffQuery(2.0, 0.0, PerceptionMetric.W2),
+    ):
+        res = oracle.minimize_primal(s, q)
+        assert abs(res.rate - solver.solve(s, q).total_rate) <= 1e-6
 
 
 @pytest.mark.parametrize("kind", ["kl", "w2", "none", "p0"])
@@ -336,7 +384,7 @@ def test_barrier_derivatives_match_central_differences(kind):
     rng = np.random.default_rng(61)
     problem, x = _interior_barrier_problem(kind, rng)
     mu = 1e-2
-    grad, hess = problem.derivatives(x, mu)
+    grad, hess = _dense_derivatives(problem, x, mu)
     for i in range(x.size):
         h = 1e-6 * x[i]
         plus, minus = x.copy(), x.copy()
@@ -346,9 +394,9 @@ def test_barrier_derivatives_match_central_differences(kind):
         # each coordinate's own scale: its slope plus the slope change over
         # a relative move of one
         assert abs(fd - grad[i]) <= 1e-5 * (abs(grad[i]) + hess[i, i] * x[i])
-        fd_row = (problem.derivatives(plus, mu)[0] - problem.derivatives(minus, mu)[0]) / (
-            2.0 * h
-        )
+        fd_row = (
+            _dense_derivatives(problem, plus, mu)[0] - _dense_derivatives(problem, minus, mu)[0]
+        ) / (2.0 * h)
         scale = np.sqrt(np.abs(np.diag(hess)) * abs(hess[i, i]))
         assert np.all(np.abs(fd_row - hess[i]) <= 1e-5 * scale)
 

@@ -574,6 +574,29 @@ def test_slack_jacobian_matches_central_differences(metric):
     assert worst <= 1e-6
 
 
+@pytest.mark.parametrize("metric", [PerceptionMetric.KL, PerceptionMetric.W2], ids=["kl", "w2"])
+def test_damped_step_matches_a_dense_solve(metric):
+    # budgets met at (1.3 nu1, 0.7 nu2), so the step is a real one; the
+    # accepted candidate must be nu*(1 + y) for y = (H + mu I)^-1 b with
+    # H = -diag(nu) J diag(nu) and b = nu*slacks
+    lam = np.geomspace(1e-3, 1.0, 4)
+    worst = 0.0
+    for nu1, nu2 in HESSIAN_DUALS:
+        target = solver._evaluate_dual(lam, 1.3 * nu1, 0.7 * nu2, metric, 0.0, 0.0)
+        D, P = target.slack_d, target.slack_p
+        nu = np.array([nu1, nu2])
+        state = solver._evaluate_dual(lam, nu1, nu2, metric, D, P)
+        for mu in (0.0, 1e-2):
+            step = solver._try_newton(lam, nu, state, metric, D, P, 1e-9 * D, 1e-9 * P, mu)
+            assert step is not None
+            cand, _, mu_accepted = step
+            hess = -nu[:, None] * solver._slack_jacobian(lam, nu1, nu2, state, metric) * nu
+            b = nu * np.array([state.slack_d, state.slack_p])
+            y = np.linalg.solve(hess + mu_accepted * np.eye(2), b)
+            worst = max(worst, float(np.max(np.abs(cand - nu * (1.0 + y)) / cand)))
+    assert worst <= 1e-13
+
+
 def mp_budget_sums(lam, nu1, nu2, metric, gammas):
     """Distortion and perception sums at the 60-digit stationary points.
 
