@@ -12,23 +12,30 @@ analytic Hessian.  The objective and the box barriers are separable, so
 the Hessian is one 2 by 2 block per component plus one rank-one term for
 each of the two budgets, and the Newton system is solved by that structure
 in O(L) work, with no dense matrix.  The Hessian is positive definite
-everywhere inside the feasible set, so every Newton direction descends and
-no other direction is ever needed.  Plain gradient descent was measured
-first and rejected: the barrier Hessian's condition number grows like the
-inverse barrier weight, and descent stalls around 1e-3 nats of the optimum
-at desk scale, far off the certificate.
+everywhere inside the feasible set, so every Newton direction descends.
+Plain gradient descent stalls around 1e-3 nats of the optimum, because the
+barrier Hessian's condition number grows like the inverse barrier weight.
+
+The barrier runs in units of each source variance: its variables are
+``g = gamma/lam`` and ``h = lambda_hat/lam``, one pair per component, as
+in the paper's per-component programs.  A component's distortion is
+``lam * (g + (sqrt(h) - sqrt(1-g))**2)``, its KL loss ``(h - 1 - log h)/2``
+and its W2 loss ``lam * (1 - sqrt(h))**2``; these, with their slopes and
+curvatures in ``(g, h)``, are the only loss formulas the oracle uses.
+Each square root in the distortion is taken on its own, so it does not
+cancel at low distortion and no product of two variances is formed; the
+source variances enter only as weights in the distortion and W2 sums.
 
 A perception budget of exactly zero is the same program with every
-reconstruction variance pinned to its source variance; the barrier
-problem then runs over the L water levels alone.
+reconstruction variance pinned to its source variance, ``h = 1``; the
+barrier problem then runs over the L water levels alone.
 
-Every run starts at one closed-form interior point: water levels
-``lam * min(1/2, D / (2 tr))``, with ``tr`` the total variance, and every
-reconstruction variance at its source variance.  A component's
-distortion there is ``gamma + (sqrt(lam) - sqrt(lam - gamma))**2``, at
-most ``1.172 * gamma`` for ``gamma <= lam/2``, so the total distortion is
-at most ``0.586 * min(D, tr) < D``, and the perception loss is zero, below
-any positive budget.
+Every run starts at one closed-form interior point: ``g = min(1/2, D /
+(2 tr))`` in every component, with ``tr`` the total variance, and
+``h = 1``.  A component's distortion there is ``lam * (g + (1 -
+sqrt(1 - g))**2)``, at most ``1.172 * lam * g`` for ``g <= 1/2``, so the
+total distortion is at most ``0.586 * min(D, tr) < D``, and the perception
+loss is zero, below any positive budget.
 
 A stage ends when the squared Newton decrement ``-grad @ direction``
 reaches 1e-12 (Boyd & Vandenberghe, *Convex Optimization*, sections 9.5
@@ -106,50 +113,57 @@ class OracleResult:
     newton_steps: int
 
 
-def _distortion_terms(lam, gammas, hats):
-    return lam - 2.0 * np.sqrt(hats * (lam - gammas)) + hats
+def _rate(g) -> float:
+    """The coding rate, in nats, at the water levels ``g = gamma/lam``."""
+    return -0.5 * float(np.log(g).sum())
 
 
-def _perception_terms(lam, hats, metric):
-    if metric is PerceptionMetric.KL:
-        return 0.5 * (hats / lam - 1.0 + np.log(lam / hats))
-    if metric is PerceptionMetric.W2:
-        d = np.sqrt(lam) - np.sqrt(hats)
-        return d * d
-    raise DomainError(f"no perception formula for metric {metric!r}")
+# The per-component loss formulas in (g, h), each over its weight in its
+# budget sum: the source variance for the distortion and W2, none for KL.
 
 
-def _perception_partials(lam, hats, metric):
-    if metric is PerceptionMetric.KL:
-        return 0.5 * (1.0 / lam - 1.0 / hats)
-    return 1.0 - np.sqrt(lam / hats)
+def _distortion_terms(g, h):
+    d = np.sqrt(h) - np.sqrt(1.0 - g)
+    return g + d * d
 
 
-def _perception_curvatures(lam, hats, metric):
-    """Second derivatives of the perception terms, times ``lam**2``."""
-    if metric is PerceptionMetric.KL:
-        return 0.5 * (lam / hats) ** 2
-    return 0.5 * lam * (lam / hats) ** 1.5
+def _distortion_slopes(g, h):
+    """Slopes of a distortion term in g and h.  Its curvatures follow from
+    them: ``d_g/(2(1-g))`` in (g, g), ``(1-d_h)/(2h)`` in (h, h) and
+    ``d_g/(2h)`` in (g, h), a rank-one block, the product of the first two
+    being the square of the third."""
+    return np.sqrt(h / (1.0 - g)), 1.0 - np.sqrt((1.0 - g) / h)
+
+
+# perception terms, slopes and curvatures in h, by metric
+_PERCEPTION = {
+    PerceptionMetric.KL: (
+        lambda h: 0.5 * (h - 1.0 - np.log(h)),
+        lambda h: 0.5 * (1.0 - 1.0 / h),
+        lambda h: 0.5 / (h * h),
+    ),
+    PerceptionMetric.W2: (
+        lambda h: (1.0 - np.sqrt(h)) ** 2,
+        lambda h: 1.0 - 1.0 / np.sqrt(h),
+        lambda h: 0.5 / (h * np.sqrt(h)),
+    ),
+}
 
 
 class _Curvature(NamedTuple):
     """The barrier Hessian by its structure, and its Newton solve.
 
-    Each coordinate is measured in units of its source variance, the
-    scaled Hessian being ``diag(scale) @ hess @ diag(scale)``: its entries
-    are then ratios such as ``lam/gamma`` whatever the units of the source,
-    so no product of two of them over- or underflows.  The objective and
-    the box barriers are separable, and the curvature of the distortion
-    sum is rank one within each component, so all of them together form
-    one 2 by 2 block per component, ``h_gamma``, ``h_hat`` and
-    ``h_cross``, with determinant ``det`` (a diagonal, ``h_gamma`` alone,
-    when the reconstruction variances are pinned).  Each budget barrier
-    ``-mu*log(slack)`` adds one rank-one term across the components,
-    ``mu * v v^T`` for ``v`` the scaled gradient of its sum over its
-    slack: the rows of ``u``.
+    The objective and the box barriers are separable, and the curvature of
+    the distortion sum is rank one within each component, so all of them
+    together form one 2 by 2 block per component, ``h_gamma``, ``h_hat``
+    and ``h_cross``, with determinant ``det`` (a diagonal, ``h_gamma``
+    alone, when the reconstruction variances are pinned).  Each budget
+    barrier ``-mu*log(slack)`` adds one rank-one term across the
+    components, ``mu * v v^T`` for ``v`` the gradient of its sum over its
+    slack: the rows of ``u``.  In the coordinates ``(g, h)`` every entry
+    is a ratio such as ``1/g``, whatever the units of the source.
     """
 
-    scale: np.ndarray
     h_gamma: np.ndarray
     h_hat: np.ndarray | None
     h_cross: np.ndarray | None
@@ -174,35 +188,36 @@ class _Curvature(NamedTuple):
     def solve(self, rhs):
         """``hess^-1 @ rhs`` by the matrix inversion lemma.
 
-        With ``B`` the block part, the solve applies ``B^-1`` to the scaled
-        ``rhs`` and to the rows of ``u``, then solves the 1 by 1 or 2 by 2
+        With ``B`` the block part, the solve applies ``B^-1`` to ``rhs``
+        and to the rows of ``u``, then solves the 1 by 1 or 2 by 2
         capacitance system ``I/mu + u B^-1 u^T`` (Boyd & Vandenberghe,
         appendix C.4): O(L) work in all.  The system is formed with
         ``1/mu``, which grows as the barrier weight shrinks, where the
         Hessian itself carries the unbounded weights ``mu/slack**2``.
         """
-        z = self._solve_blocks(np.vstack([self.scale * rhs, self.u]))
+        z = self._solve_blocks(np.vstack([rhs, self.u]))
         gram = (self.u @ z.T).tolist()
         inv_mu = 1.0 / self.mu
         if len(gram) == 1:
             ((r, s),) = gram
-            return self.scale * (z[0] - (r / (inv_mu + s)) * z[1])
+            return z[0] - (r / (inv_mu + s)) * z[1]
         (r0, s00, s01), (r1, s10, s11) = gram
         s00 += inv_mu
         s11 += inv_mu
         det = s00 * s11 - s01 * s10
         c0 = (s11 * r0 - s01 * r1) / det
         c1 = (s00 * r1 - s10 * r0) / det
-        return self.scale * (z[0] - c0 * z[1] - c1 * z[2])
+        return z[0] - c0 * z[1] - c1 * z[2]
 
 
 class _BarrierProblem:
     """Barrier value, gradient, and Hessian for one query.
 
-    The variable vector stacks the water levels first, then the
-    reconstruction variances.  A perception budget of exactly zero pins
-    every reconstruction variance to its source variance, the optimum the
-    paper gives for perfect perception: the water levels are then the only
+    The variables are each component's water level and reconstruction
+    variance over its source variance, ``g = gamma/lam`` and
+    ``h = lambda_hat/lam``, stacked water levels first.  A perception
+    budget of exactly zero pins every ``h`` to 1, the optimum the paper
+    gives for perfect perception: the water levels are then the only
     variables, and the perception barrier and the reconstruction-variance
     barriers are absent.  For an unconstrained perception budget only the
     perception barrier is absent.
@@ -212,16 +227,18 @@ class _BarrierProblem:
         self.lam = s.lambdas
         self.D = D
         self.P = P
-        self.metric = metric
         self.pinned = P == 0.0
         self.has_perception = (
             not self.pinned and metric is not PerceptionMetric.UNCONSTRAINED
         )
-        self.scale = self.lam if self.pinned else np.concatenate([self.lam, self.lam])
+        if self.has_perception:
+            self.p_terms, self.p_slopes, self.p_curvatures = _PERCEPTION[metric]
+            self.p_weight = self.lam if metric is PerceptionMetric.W2 else 1.0
+        self.ones = np.ones_like(self.lam)
 
     def split(self, x):
         if self.pinned:
-            return x, self.lam
+            return x, self.ones
         n = self.lam.size
         return x[:n], x[n:]
 
@@ -231,25 +248,19 @@ class _BarrierProblem:
         The perception slack is ``inf`` when there is no perception
         barrier.  Returns ``None`` unless ``x`` is strictly interior.
         """
-        gammas, hats = self.split(x)
-        if not ((gammas > 0.0).all() and (gammas < self.lam).all()):
+        g, h = self.split(x)
+        if not ((g > 0.0).all() and (g < 1.0).all() and (h > 0.0).all()):
             return None
-        if not (hats > 0.0).all():
-            return None
-        sd = self.D - float(_distortion_terms(self.lam, gammas, hats).sum())
+        sd = self.D - float(self.lam @ _distortion_terms(g, h))
         # an overflowed distortion sum leaves no finite slack
         if not 0.0 < sd < math.inf:
             return None
         sp = math.inf
         if self.has_perception:
-            sp = self.P - float(_perception_terms(self.lam, hats, self.metric).sum())
+            sp = self.P - float(np.sum(self.p_weight * self.p_terms(h)))
             if not sp > 0.0:
                 return None
         return sd, sp
-
-    def objective(self, x) -> float:
-        gammas, _ = self.split(x)
-        return float(0.5 * np.log(self.lam / gammas).sum())
 
     def evaluate(self, x, mu: float):
         """Barrier value and budget slacks at ``x``: ``(inf, None)``
@@ -258,67 +269,57 @@ class _BarrierProblem:
         if slacks is None:
             return math.inf, None
         sd, sp = slacks
-        gammas, hats = self.split(x)
-        lam = self.lam
-        logs = (
-            math.log(sd)
-            + float(np.log(gammas).sum())
-            + float(np.log(lam - gammas).sum())
-        )
+        g, h = self.split(x)
+        rate = _rate(g)
+        # the water-level barrier's sum of log(g) is -2 * rate
+        logs = math.log(sd) - 2.0 * rate + float(np.log1p(-g).sum())
         if not self.pinned:
-            logs += float(np.log(hats).sum())
-        total = self.objective(x) - mu * logs
+            logs += float(np.log(h).sum())
+        total = rate - mu * logs
         if self.has_perception:
             total -= mu * math.log(sp)
         return total, slacks
-
-    def value(self, x, mu: float) -> float:
-        return self.evaluate(x, mu)[0]
 
     def derivatives(self, x, mu: float, slacks):
         """Gradient and :class:`_Curvature` of the barrier function at a
         strictly interior ``x`` whose budget slacks are ``slacks``."""
         sd, sp = slacks
-        gammas, hats = self.split(x)
-        lam = self.lam
-        gap = lam - gammas
-        d_gamma = np.sqrt(hats / gap)
-        g_gamma = -0.5 / gammas + (mu / sd) * d_gamma - mu / gammas + mu / gap
-        # scaled curvature: objective and box terms, then the curvature of
-        # the distortion sum itself (rank one per component in
-        # (gamma, lambda_hat)) with weight w
-        t_gamma, t_gap = lam / gammas, lam / gap
-        w = (0.5 * mu / sd) * lam
-        box_gamma = (0.5 + mu) * t_gamma**2 + mu * t_gap**2
-        dist_gamma = w * t_gap * d_gamma
-        h_gamma = box_gamma + dist_gamma
+        g, h = self.split(x)
+        # each component's weight in the distortion barrier, times its
+        # distortion slopes
+        w = self.lam / sd
+        d_g, d_h = _distortion_slopes(g, h)
+        wd_g = w * d_g
+        inv_g, inv_gap = 1.0 / g, 1.0 / (1.0 - g)
+        grad_g = mu * (wd_g + inv_gap) - (0.5 + mu) * inv_g
+        # objective and box terms, then the curvature of the distortion sum
+        # itself (rank one per component in (g, h), see _distortion_slopes)
+        box_g = (0.5 + mu) * inv_g * inv_g + mu * inv_gap * inv_gap
+        dist_g = (0.5 * mu) * wd_g * inv_gap
+        h_gamma = box_g + dist_g
         if self.pinned:
-            u = (lam * d_gamma / sd)[None, :]
-            return g_gamma, _Curvature(lam, h_gamma, None, None, None, u, mu)
+            return grad_g, _Curvature(h_gamma, None, None, None, wd_g[None, :], mu)
 
-        root = np.sqrt(gap / hats)
-        d_hat = 1.0 - root
-        g_hat = (mu / sd) * d_hat - mu / hats
-        t_hat = lam / hats
-        box_hat = mu * t_hat**2
-        n = lam.size
+        inv_h = 1.0 / h
+        wd_h = w * d_h
+        grad_h = mu * (wd_h - inv_h)
+        box_h = mu * inv_h * inv_h
+        n = g.size
         u = np.zeros((1 + self.has_perception, 2 * n))
-        u[0, :n] = lam * d_gamma / sd
-        u[0, n:] = lam * d_hat / sd
+        u[0, :n] = wd_g
+        u[0, n:] = wd_h
         if self.has_perception:
-            ph = _perception_partials(lam, hats, self.metric)
-            g_hat = g_hat + (mu / sp) * ph
-            box_hat = box_hat + (mu / sp) * _perception_curvatures(
-                lam, hats, self.metric
-            )
-            u[1, n:] = lam * ph / sp
-        h_hat = box_hat + w * t_hat * root
-        h_cross = w * np.sqrt(t_hat * t_gap)
-        # h_cross**2 is dist_gamma times the distortion term of h_hat, so
-        # the determinant is a sum of positive terms
-        det = box_gamma * h_hat + dist_gamma * box_hat
-        return np.concatenate([g_gamma, g_hat]), _Curvature(
-            self.scale, h_gamma, h_hat, h_cross, det, u, mu
+            wp = self.p_weight / sp
+            p_h = wp * self.p_slopes(h)
+            grad_h = grad_h + mu * p_h
+            box_h = box_h + (mu * wp) * self.p_curvatures(h)
+            u[1, n:] = p_h
+        h_hat = box_h + (0.5 * mu) * w * (1.0 - d_h) * inv_h
+        # h_cross**2 is dist_g times the distortion term of h_hat, so the
+        # determinant is a sum of positive terms
+        det = box_g * h_hat + dist_g * box_h
+        return np.concatenate([grad_g, grad_h]), _Curvature(
+            h_gamma, h_hat, (0.5 * mu) * wd_g * inv_h, det, u, mu
         )
 
 
@@ -336,13 +337,16 @@ def _minimize_stage(problem: _BarrierProblem, x, mu: float):
     each accepted point carry over to the next step's derivatives.
 
     The stage ends when the squared Newton decrement ``-grad @ direction``
-    falls to ``_DECREMENT_TOL``.  Scaling the variances by c scales the
-    gradient by 1/c and the Newton step by c, so their product, twice the
-    decrease the Newton model predicts, is free of units.  It also ends
-    after an accepted step that leaves the barrier value unchanged: the
-    decrement can sit just above its threshold while every step the
-    backtrack accepts is too short to move the value off its rounding
-    floor.
+    falls to ``_DECREMENT_TOL``.  That product, twice the decrease the
+    Newton model predicts, is invariant under any rescaling of the
+    coordinates, and in ``(g, h)`` its factors are free of units too.  It
+    also ends after an accepted step that leaves the barrier value
+    unchanged: the decrement can sit just above its threshold while every
+    step the backtrack accepts is too short to move the value off its
+    rounding floor.
+
+    A stage takes at most ``_MAX_STAGE_ITERATIONS`` steps plus one per
+    variable, since its damped steps grow about linearly with L.
 
     Raises
     ------
@@ -350,7 +354,8 @@ def _minimize_stage(problem: _BarrierProblem, x, mu: float):
         If no backtrack of a Newton step meets the Armijo condition.
     """
     value, slacks = problem.evaluate(x, mu)
-    for steps in range(_MAX_STAGE_ITERATIONS):
+    max_steps = _MAX_STAGE_ITERATIONS + x.size
+    for steps in range(max_steps):
         grad, curvature = problem.derivatives(x, mu, slacks)
         direction = curvature.solve(-grad)
         slope = float(grad @ direction)
@@ -373,7 +378,7 @@ def _minimize_stage(problem: _BarrierProblem, x, mu: float):
                 barrier_mu=mu,
                 newton_decrement_sq=-slope,
             )
-    return x, _MAX_STAGE_ITERATIONS
+    return x, max_steps
 
 
 def _interior_start(problem: _BarrierProblem):
@@ -385,22 +390,11 @@ def _interior_start(problem: _BarrierProblem):
         If under- or overflow leaves the start outside the interior.
     """
     lam = problem.lam
-    gammas = lam * min(0.5, problem.D / (2.0 * float(np.sum(lam))))
-    x = gammas if problem.pinned else np.concatenate([gammas, lam])
+    g = np.full(lam.size, min(0.5, problem.D / (2.0 * float(np.sum(lam)))))
+    x = g if problem.pinned else np.concatenate([g, problem.ones])
     if problem.slacks(x) is None:
         raise DomainError("the closed-form barrier start is not strictly interior")
     return x
-
-
-def _run_barrier(problem: _BarrierProblem, x):
-    mu = MU_INITIAL
-    newton_steps = 0
-    while True:
-        x, steps = _minimize_stage(problem, x, mu)
-        newton_steps += steps
-        if mu <= MU_FINAL * (1.0 + 1e-12):
-            return x, newton_steps
-        mu = max(mu * MU_SHRINK, MU_FINAL)
 
 
 def minimize_primal(s: SourceSpectrum, q: TradeoffQuery) -> OracleResult:
@@ -420,12 +414,18 @@ def minimize_primal(s: SourceSpectrum, q: TradeoffQuery) -> OracleResult:
         function enough.
     """
     problem = _BarrierProblem(s, q.distortion_budget, q.perception_budget, q.metric)
-    x, steps = _run_barrier(problem, _interior_start(problem))
-    gammas, hats = problem.split(x)
+    x, mu, newton_steps = _interior_start(problem), MU_INITIAL, 0
+    while True:
+        x, steps = _minimize_stage(problem, x, mu)
+        newton_steps += steps
+        if mu <= MU_FINAL * (1.0 + 1e-12):
+            break
+        mu = max(mu * MU_SHRINK, MU_FINAL)
+    g, h = problem.split(x)
     return OracleResult(
-        rate=problem.objective(x),
-        point=PrimalPoint(gammas=gammas, lambda_hats=hats),
-        newton_steps=steps,
+        rate=_rate(g),
+        point=PrimalPoint(gammas=problem.lam * g, lambda_hats=problem.lam * h),
+        newton_steps=newton_steps,
     )
 
 
@@ -448,48 +448,34 @@ def minimize_primal_p0(s: SourceSpectrum, D: float) -> OracleResult:
 def check_gradients(
     s: SourceSpectrum, q: TradeoffQuery, point: PrimalPoint
 ) -> float:
-    """Central finite differences against the analytic budget gradients.
+    """Central finite differences against the barrier's analytic slopes.
 
-    Perturbs every coordinate of the point by ``1e-6`` of its magnitude and
-    compares the resulting distortion-sum and perception-sum partials with
-    their closed forms, returning the worst relative error.
+    Takes the point to the barrier's coordinates ``g = gamma/lam`` and
+    ``h = lambda_hat/lam``, perturbs every coordinate by ``1e-6`` of its
+    magnitude, and compares the resulting partials of each budget's sum of
+    per-component terms (the distortion, and the perception loss unless it
+    is unconstrained) with the slope functions the barrier runs on,
+    returning the worst relative error.
     """
-    lam = s.lambdas
-    x = np.concatenate([point.gammas, point.lambda_hats])
-    n = lam.size
     metric = q.metric
-
-    def dist_sum(v):
-        return float(np.sum(_distortion_terms(lam, v[:n], v[n:])))
-
-    def perc_sum(v):
-        return float(np.sum(_perception_terms(lam, v[n:], metric)))
-
-    gap = lam - point.gammas
-    analytic_d = np.concatenate(
-        [
-            np.sqrt(point.lambda_hats / gap),
-            1.0 - np.sqrt(gap / point.lambda_hats),
-        ]
-    )
-    worst = 0.0
-    for i in range(2 * n):
-        h = 1e-6 * x[i]
-        plus = x.copy()
-        minus = x.copy()
-        plus[i] += h
-        minus[i] -= h
-        fd = (dist_sum(plus) - dist_sum(minus)) / (2.0 * h)
-        worst = max(worst, abs(fd - analytic_d[i]) / max(1.0, abs(analytic_d[i])))
+    lam = s.lambdas
+    n = lam.size
+    x = np.concatenate([point.gammas / lam, point.lambda_hats / lam])
+    budgets = [(_distortion_terms, _distortion_slopes)]
     if metric is not PerceptionMetric.UNCONSTRAINED:
-        analytic_p = _perception_partials(lam, point.lambda_hats, metric)
-        for i in range(n, 2 * n):
-            h = 1e-6 * x[i]
-            plus = x.copy()
-            minus = x.copy()
-            plus[i] += h
-            minus[i] -= h
-            fd = (perc_sum(plus) - perc_sum(minus)) / (2.0 * h)
-            an = float(analytic_p[i - n])
-            worst = max(worst, abs(fd - an) / max(1.0, abs(an)))
+        p_terms, p_slopes, _ = _PERCEPTION[metric]
+        budgets.append(
+            (lambda g, h: p_terms(h), lambda g, h: (np.zeros_like(g), p_slopes(h)))
+        )
+    worst = 0.0
+    for terms, slopes in budgets:
+        analytic = np.concatenate(slopes(x[:n], x[n:]))
+        for i in range(2 * n):
+            step = 1e-6 * x[i]
+            plus, minus = x.copy(), x.copy()
+            plus[i] += step
+            minus[i] -= step
+            fd = float(np.sum(terms(plus[:n], plus[n:]) - terms(minus[:n], minus[n:])))
+            fd /= 2.0 * step
+            worst = max(worst, abs(fd - analytic[i]) / max(1.0, abs(analytic[i])))
     return worst

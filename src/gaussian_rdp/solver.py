@@ -276,9 +276,11 @@ def solve(s: SourceSpectrum, q: TradeoffQuery) -> RdpSolution:
     D = q.distortion_budget
     P = q.perception_budget
 
-    hats0, dist0 = zero_rate_reconstruction(s, metric, P)
-    if D >= dist0:
-        return _zero_rate_solution(s, hats0, metric, D, P)
+    # a zero-rate reconstruction has distortion tr + sum(lambda_hat) >= tr
+    if D >= s.total_variance:
+        hats0, dist0 = zero_rate_reconstruction(s, metric, P)
+        if D >= dist0:
+            return _zero_rate_solution(s, hats0, metric, D, P)
 
     w = water_level(s, D)
     if metric is PerceptionMetric.UNCONSTRAINED or float(

@@ -108,7 +108,7 @@ def test_sampler_is_exact_where_the_elementwise_form_cancels(lambda_hat_ratio):
 
 def test_sampler_memory_does_not_grow_with_n():
     # each block streams through the same two buffers, 8,192 rows of the
-    # normals and of their products, about 320 KiB in all
+    # normals and of their differences z - z_hat, about 195 KiB in all
     pair = build_pair(1.0, 0.5, 0.5)
     sample_and_measure(pair, 1000, 1)  # numpy.random is imported on first use
     tracemalloc.start()

@@ -6,13 +6,14 @@ structural facts (convexity, rank-one distortion curvature) the barrier
 method relies on.
 """
 
+import json
 import math
 
 import numpy as np
 import pytest
 
 from gaussian_rdp import oracle, solver
-from gaussian_rdp.cli import RunConfig, run_verify
+from gaussian_rdp.cli import RunConfig, main, run_verify
 from gaussian_rdp.errors import DomainError, OutOfRangeError
 from gaussian_rdp.model import PerceptionMetric, SourceSpectrum, TradeoffQuery
 
@@ -283,6 +284,73 @@ def test_oracle_agrees_with_solver_down_to_tiny_budgets(kind, ratio):
     assert abs(res.rate - ref) <= max(1e-4, 1e-3 * ref)
 
 
+def test_rate_is_free_of_units_over_the_whole_double_range():
+    # the barrier runs in units of each source variance, so no product of
+    # two variances is formed and the run is the same at any scale
+    lam = np.array([3.0, 2.0, 1.0])
+
+    def rate(c):
+        q = TradeoffQuery(2.0 * c, 0.05, PerceptionMetric.KL)
+        return oracle.minimize_primal(SourceSpectrum(c * lam), q).rate
+
+    ref = rate(1.0)
+    for c in (1e-300, 1e-200, 1e-160, 1e-100, 1e100, 1e156, 1e200, 1e300):
+        assert abs(rate(c) - ref) <= 1e-12 * ref, c
+
+
+def _verify_report(tmp_path, lams, metric, D, P):
+    out = tmp_path / "report.json"
+    code = main([
+        "verify", "--lambdas", ",".join(map(repr, lams)), "--metric", metric,
+        "--distortion", repr(D), "--perception", repr(P), "--samples", "1000",
+        "--output", str(out),
+    ])
+    return code, json.loads(out.read_text())
+
+
+@pytest.mark.parametrize("ratio", [1e-16, 1e-20, 1e-30, 1e-100])
+@pytest.mark.parametrize("lams", [(3.0, 2.0, 1.0), (5.0, 1.0, 0.2, 0.01)])
+def test_verify_rates_agree_at_tiny_distortion(tmp_path, lams, ratio):
+    # the distortion lam*(g + (sqrt(h) - sqrt(1 - g))**2) does not cancel
+    # where lam - 2*sqrt(lambda_hat*(lam - gamma)) + lambda_hat is all rounding
+    tr = sum(lams)
+    D = ratio * tr
+    for metric, P in (("kl", 0.1), ("w2", 0.05 * tr), ("w2", 0.0)):
+        _, report = _verify_report(tmp_path, lams, metric, D, P)
+        assert report["rate_agreement_pass"], (metric, P, report["rate_abs_diff"])
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_verify_rates_agree_at_large_dimension(tmp_path, seed):
+    # L = 300 over a spread of e^12: barrier stages here need up to 168
+    # Newton steps, and a stage stopped at 120 leaves the rate 0.66 (seed 0)
+    # and 1.16 (seed 1) nats above the optimum
+    lams = np.exp(np.random.default_rng(seed).uniform(-6.0, 6.0, 300))
+    D = 0.3 * float(lams.sum())
+    _, report = _verify_report(tmp_path, lams.tolist(), "kl", D, 0.05 * lams.size)
+    assert report["rate_agreement_pass"], report["rate_abs_diff"]
+
+
+@pytest.mark.parametrize("ratio", [1e-20, 1e-100])
+def test_verify_passes_at_tiny_distortion(tmp_path, ratio):
+    code, report = _verify_report(tmp_path, (3.0, 2.0, 1.0), "kl", 6.0 * ratio, 0.1)
+    assert code == 0 and report["all_pass"], report
+
+
+def test_gradient_check_sees_a_wrong_distortion_slope(monkeypatch):
+    # check_gradients differentiates the same slope function the barrier
+    # runs, so a slope off by 1e-3 of itself must show
+    s = spectrum(3.0, 2.0, 5.0, 4.0, 1.0)
+    pt = oracle.PrimalPoint(gammas=0.4 * s.lambdas, lambda_hats=0.8 * s.lambdas)
+    q = TradeoffQuery(5.0, 0.5, PerceptionMetric.KL)
+    assert oracle.check_gradients(s, q, pt) <= 1e-5
+    slopes = oracle._distortion_slopes
+    monkeypatch.setattr(
+        oracle, "_distortion_slopes", lambda g, h: tuple(1.001 * v for v in slopes(g, h))
+    )
+    assert oracle.check_gradients(s, q, pt) > 1e-5
+
+
 def test_start_lost_to_underflow_is_a_domain_error():
     # half the smallest subnormal budget rounds the water levels to zero
     with pytest.raises(DomainError):
@@ -293,7 +361,8 @@ def test_start_lost_to_underflow_is_a_domain_error():
 
 def _interior_barrier_problem(kind, rng):
     """A barrier problem over a spectrum spanning 6 decades, and a strictly
-    interior point of it with every budget slack between 1% and 100%."""
+    interior point of it, in units of each source variance, with every
+    budget slack between 1% and 100%."""
     lam = 10.0 ** rng.uniform(-6.0, 0.0, size=7)
     lam[:2] = 1.0, 1e-6
     s = SourceSpectrum(lam * 10.0 ** rng.uniform(-3.0, 3.0))
@@ -312,14 +381,14 @@ def _interior_barrier_problem(kind, rng):
     else:
         P = total_perception(lam, hats, metric) * (1.0 + rng.uniform(0.01, 1.0))
     problem = oracle._BarrierProblem(s, D, P, metric)
-    x = gammas if kind == "p0" else np.concatenate([gammas, hats])
+    x = gammas / lam if kind == "p0" else np.concatenate([gammas / lam, hats / lam])
     assert problem.slacks(x) is not None
     return problem, x
 
 
 def _dense_derivatives(problem, x, mu):
     """Gradient and dense Hessian of the barrier function, assembled from
-    the scaled blocks and rank-one terms the barrier problem returns."""
+    the blocks and rank-one terms the barrier problem returns."""
     grad, c = problem.derivatives(x, mu, problem.slacks(x))
     n = c.h_gamma.size
     idx = np.arange(n)
@@ -329,7 +398,7 @@ def _dense_derivatives(problem, x, mu):
         hess[idx + n, idx + n] += c.h_hat
         hess[idx, idx + n] += c.h_cross
         hess[idx + n, idx] += c.h_cross
-    return grad, hess / np.outer(c.scale, c.scale)
+    return grad, hess
 
 
 @pytest.mark.parametrize("kind", ["kl", "w2", "none", "p0"])
@@ -390,7 +459,7 @@ def test_barrier_derivatives_match_central_differences(kind):
         plus, minus = x.copy(), x.copy()
         plus[i] += h
         minus[i] -= h
-        fd = (problem.value(plus, mu) - problem.value(minus, mu)) / (2.0 * h)
+        fd = (problem.evaluate(plus, mu)[0] - problem.evaluate(minus, mu)[0]) / (2.0 * h)
         # each coordinate's own scale: its slope plus the slope change over
         # a relative move of one
         assert abs(fd - grad[i]) <= 1e-5 * (abs(grad[i]) + hess[i, i] * x[i])

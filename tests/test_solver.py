@@ -101,6 +101,20 @@ def test_zero_rate_at_doubled_variance_kl():
     assert math.isinf(sol.dual.nu2)
 
 
+def test_budget_below_the_total_variance_skips_the_zero_rate_bracket(monkeypatch):
+    # every zero-rate reconstruction has distortion tr + sum(lambda_hat) >= tr,
+    # so a budget below tr cannot be met at rate zero and the KL bracket
+    # for the cheapest one is never run
+    def refused(*args, **kwargs):
+        raise AssertionError("zero_rate_reconstruction called with D < tr")
+
+    s = spectrum(3.0, 2.0, 1.0)
+    q = TradeoffQuery(0.9 * s.total_variance, 0.05, PerceptionMetric.KL)
+    expected = solver.solve(s, q).total_rate
+    monkeypatch.setattr(solver, "zero_rate_reconstruction", refused)
+    assert solver.solve(s, q).total_rate == expected > 0.0
+
+
 def test_distortion_inactive_finite_budget_duals():
     sol = solver.solve(spectrum(1.0), TradeoffQuery(2.5, 0.7, PerceptionMetric.KL))
     assert sol.case_tag is SolutionCase.DISTORTION_INACTIVE
