@@ -122,14 +122,19 @@ def waterfill_solution(
     """The water-filling allocation at level ``w``, certified for a metric.
 
     Each component is assigned water level ``min(nu, lambda)`` and
-    reconstruction variance ``lambda - gamma``, which is also its gap.
+    reconstruction variance ``lambda - gamma``, which is also its gap.  The
+    reconstruction variance is taken as the gap that the certificate
+    recovers from the rate, the same float, so that its residual
+    ``nu1*lambda_hat*(1 - sqrt(gap/lambda_hat))`` does not multiply the
+    rounding of the two forms by ``nu1*lambda_hat``, up to ``L*lam/(2D)``.
     """
     lam = s.lambdas
     gaps = lam - w.per_component
+    hats = rate_gaps(lam, rate_terms(lam, w.per_component, gaps))
     # slack distortion constraint (D beyond total variance) forces nu1 = 0
     nu1 = 0.0 if D >= s.total_variance else 1.0 / (2.0 * w.nu)
     return assemble(
-        lam, w.per_component, gaps, gaps, nu1, 0.0, metric, D, P,
+        lam, w.per_component, gaps, hats, nu1, 0.0, metric, D, P,
         SolutionCase.DISTORTION_ONLY,
     )
 

@@ -117,6 +117,18 @@ def _lower_factor(pair: JointGaussianPair):
     return math.sqrt(lam), math.sqrt(rad21), math.sqrt(rad22)
 
 
+def _difference_coefficient(pair: JointGaussianPair) -> float:
+    """``l11 - l21`` of :func:`_lower_factor` as ``(sqrt(lam) -
+    sqrt(lambda_hat)) + sqrt(lambda_hat) * gamma / (lam + sqrt(lam) *
+    sqrt(lam - gamma))``, which keeps the digits of ``gamma`` where ``l21``
+    rounds to ``l11``."""
+    lam, gamma, root_hat = pair.lam, pair.gamma, math.sqrt(pair.lambda_hat)
+    root_lam = math.sqrt(lam)
+    return (root_lam - root_hat) + root_hat * gamma / (
+        lam + root_lam * math.sqrt(lam - gamma)
+    )
+
+
 def sample_and_measure(
     pair: JointGaussianPair, n: int, seed: int, stream: int = 0
 ) -> SampleReport:
@@ -133,19 +145,17 @@ def sample_and_measure(
     """
     if n < 1000:
         raise DomainError(f"need at least 1000 samples, got {n}")
-    l11, l21, l22 = _lower_factor(pair)
+    l22 = _lower_factor(pair)[2]
     # numpy.random is imported on first use, not with the package
     rng = np.random.Generator(np.random.SFC64([seed & _MASK, stream & _MASK]))
 
     # each block streams through the same two buffers: row i of ``draws``
     # holds sample i's pair, and ``diffs`` its squared difference
-    # (z - zh)^2, where z - zh = (l11 - l21)*n0 - l22*n1; l11 and l21
-    # differ by less than a factor of two whenever they nearly cancel, so
-    # their difference is exact
+    # (z - zh)^2, where z - zh = (l11 - l21)*n0 - l22*n1
     rows = min(_BLOCK, n)
     draws = np.empty((rows, 2))
     diffs = np.empty(rows)
-    coef = np.array([l11 - l21, -l22])
+    coef = np.array([_difference_coefficient(pair), -l22])
     sum_d = sum_d2 = 0.0
     done = 0
     while done < n:

@@ -2,19 +2,24 @@
 
 Minimizes the coding-rate objective directly over the per-component water
 levels and reconstruction variances, with a logarithmic barrier on the two
-coupled budget constraints and on the box constraints, the barrier weight
-shrinking tenfold per stage from 1 to 1e-8.  At the final weight the
-centered point is within (number of constraints) * 1e-8 nats of the true
-minimum, comfortably under the 1e-6 certificate this module promises.
+coupled budget constraints and on the box constraints, over the nine
+barrier weights 1, 0.1, ..., 1e-8.  At the final weight the centered point
+is within (number of constraints) * 1e-8 nats of the true minimum,
+comfortably under the 1e-6 certificate this module promises.
 
 Each barrier stage is minimized by a damped Newton iteration on the full
 analytic Hessian.  The objective and the box barriers are separable, so
 the Hessian is one 2 by 2 block per component plus one rank-one term for
 each of the two budgets, and the Newton system is solved by that structure
-in O(L) work, with no dense matrix.  The Hessian is positive definite
-everywhere inside the feasible set, so every Newton direction descends.
-Plain gradient descent stalls around 1e-3 nats of the optimum, because the
-barrier Hessian's condition number grows like the inverse barrier weight.
+in O(L) work, with no dense matrix.  The budget barriers' part of the
+gradient is never formed: near the centre it nearly cancels the rest, so
+the solve works from the rest alone and returns the direction of a
+Lagrangian gradient, which is small where the step is (see
+:meth:`_Curvature.solve`).  The Hessian is positive definite everywhere
+inside the feasible set, and the squared decrement is formed as a sum of
+nonnegative terms, so every Newton direction descends.  Plain gradient
+descent stalls around 1e-3 nats of the optimum, because the barrier
+Hessian's condition number grows like the inverse barrier weight.
 
 The barrier runs in units of each source variance: its variables are
 ``g = gamma/lam`` and ``h = lambda_hat/lam``, one pair per component, as
@@ -37,17 +42,17 @@ sqrt(1 - g))**2)``, at most ``1.172 * lam * g`` for ``g <= 1/2``, so the
 total distortion is at most ``0.586 * min(D, tr) < D``, and the perception
 loss is zero, below any positive budget.
 
-A stage ends when the squared Newton decrement ``-grad @ direction``
-reaches 1e-12 (Boyd & Vandenberghe, *Convex Optimization*, sections 9.5
-and 11.3).  The decrement is affine-invariant, so the stopping point, the
-number of steps and the rate do not depend on the units of the source.
-A fixed tolerance on the gradient norm would not serve: the gradient
-grows like the inverse water level, so on near-singular spectra such a
-tolerance cannot be met and the stage runs to its step cap inside rounding
-noise.
+A stage ends when the squared Newton decrement reaches 1e-12 (Boyd &
+Vandenberghe, *Convex Optimization*, sections 9.5 and 11.3).  The
+decrement is affine-invariant, so the stopping point, the number of steps
+and the rate do not depend on the units of the source.  A fixed tolerance
+on the gradient norm would not serve: the gradient grows like the inverse
+water level, so on near-singular spectra such a tolerance cannot be met
+and the stage runs to its step cap inside rounding noise.
 
-This module shares no iterate machinery with the dual search: it never
-forms multipliers, never uses the stationary-point maps, and touches the
+This module shares no iterate machinery with the dual search: the only
+multipliers it forms are the Newton solve's estimates for its own budget
+barriers, it never uses the stationary-point maps, and it touches the
 same ground truth only through the distortion and perception formulas.
 Agreement between the two routes is therefore a meaningful check.
 """
@@ -71,9 +76,8 @@ __all__ = [
     "check_gradients",
 ]
 
-MU_INITIAL = 1.0
-MU_FINAL = 1e-8
-MU_SHRINK = 0.1
+# the barrier weight of each stage, shrinking tenfold from 1 to 1e-8
+_BARRIER_WEIGHTS = tuple(10.0**-k for k in range(9))
 
 _ARMIJO_C = 1e-4
 _MAX_BACKTRACKS = 60
@@ -157,11 +161,12 @@ class _Curvature(NamedTuple):
     the distortion sum is rank one within each component, so all of them
     together form one 2 by 2 block per component, ``h_gamma``, ``h_hat``
     and ``h_cross``, with determinant ``det`` (a diagonal, ``h_gamma``
-    alone, when the reconstruction variances are pinned).  Each budget
-    barrier ``-mu*log(slack)`` adds one rank-one term across the
-    components, ``mu * v v^T`` for ``v`` the gradient of its sum over its
-    slack: the rows of ``u``.  In the coordinates ``(g, h)`` every entry
-    is a ratio such as ``1/g``, whatever the units of the source.
+    alone, when the reconstruction variances are pinned): the block part
+    ``B``.  Each budget barrier ``-mu*log(slack)`` adds ``mu * v`` to the
+    gradient and ``mu * v v^T`` to the Hessian, for ``v`` the gradient of
+    its sum over its slack: the two rows of ``u``, the second zero where
+    there is no perception barrier.  In the coordinates ``(g, h)`` every
+    entry is a ratio such as ``1/g``, whatever the units of the source.
     """
 
     h_gamma: np.ndarray
@@ -185,29 +190,37 @@ class _Curvature(NamedTuple):
             axis=1,
         )
 
-    def solve(self, rhs):
-        """``hess^-1 @ rhs`` by the matrix inversion lemma.
+    def solve(self, r):
+        """Newton direction and squared Newton decrement at the barrier
+        gradient ``r + mu * u.sum(axis=0)``, given ``r``.
 
-        With ``B`` the block part, the solve applies ``B^-1`` to ``rhs``
-        and to the rows of ``u``, then solves the 1 by 1 or 2 by 2
-        capacitance system ``I/mu + u B^-1 u^T`` (Boyd & Vandenberghe,
-        appendix C.4): O(L) work in all.  The system is formed with
-        ``1/mu``, which grows as the barrier weight shrinks, where the
-        Hessian itself carries the unbounded weights ``mu/slack**2``.
+        By the matrix inversion lemma (Boyd & Vandenberghe, appendix C.4)
+        the direction is ``-B^-1 (r + u^T c)``, where ``c`` solves the 2 by
+        2 capacitance system ``(I/mu + u B^-1 u^T) c = 1 - u B^-1 r``: O(L)
+        work in all.  The system is formed with ``1/mu``, which grows as
+        the barrier weight shrinks, where the Hessian itself carries the
+        unbounded weights ``mu/slack**2``.
+
+        Near the centre ``r`` and ``mu * u.sum(axis=0)`` are large and
+        nearly opposite, so the full gradient is never formed: ``c``
+        approaches ``mu``, and ``r + u^T c``, the gradient of a Lagrangian
+        with multipliers ``c``, is small wherever the direction is.  The
+        squared decrement ``v B^-1 v + mu |u B^-1 v|^2`` of that gradient
+        ``v`` is a sum of nonnegative terms, so every direction descends.
         """
-        z = self._solve_blocks(np.vstack([rhs, self.u]))
-        gram = (self.u @ z.T).tolist()
+        u = self.u
+        z = self._solve_blocks(np.vstack([r, u]))
+        (a0, s00, s01), (a1, s10, s11) = (u @ z.T).tolist()
         inv_mu = 1.0 / self.mu
-        if len(gram) == 1:
-            ((r, s),) = gram
-            return z[0] - (r / (inv_mu + s)) * z[1]
-        (r0, s00, s01), (r1, s10, s11) = gram
         s00 += inv_mu
         s11 += inv_mu
         det = s00 * s11 - s01 * s10
-        c0 = (s11 * r0 - s01 * r1) / det
-        c1 = (s00 * r1 - s10 * r0) / det
-        return z[0] - c0 * z[1] - c1 * z[2]
+        c0 = (s11 * (1.0 - a0) - s01 * (1.0 - a1)) / det
+        c1 = (s00 * (1.0 - a1) - s10 * (1.0 - a0)) / det
+        v = r + c0 * u[0] + c1 * u[1]
+        z = self._solve_blocks(v[None, :])[0]
+        uz = u @ z
+        return -z, float(v @ z) + self.mu * float(uz @ uz)
 
 
 class _BarrierProblem:
@@ -281,8 +294,11 @@ class _BarrierProblem:
         return total, slacks
 
     def derivatives(self, x, mu: float, slacks):
-        """Gradient and :class:`_Curvature` of the barrier function at a
-        strictly interior ``x`` whose budget slacks are ``slacks``."""
+        """Gradient ``r`` of the objective and the box barriers, and the
+        :class:`_Curvature` of the barrier function, at a strictly interior
+        ``x`` whose budget slacks are ``slacks``.  The budget barriers add
+        ``mu * u.sum(axis=0)`` to ``r``; the Newton solve never forms that
+        sum."""
         sd, sp = slacks
         g, h = self.split(x)
         # each component's weight in the distortion barrier, times its
@@ -291,34 +307,30 @@ class _BarrierProblem:
         d_g, d_h = _distortion_slopes(g, h)
         wd_g = w * d_g
         inv_g, inv_gap = 1.0 / g, 1.0 / (1.0 - g)
-        grad_g = mu * (wd_g + inv_gap) - (0.5 + mu) * inv_g
+        r_g = mu * inv_gap - (0.5 + mu) * inv_g
         # objective and box terms, then the curvature of the distortion sum
         # itself (rank one per component in (g, h), see _distortion_slopes)
         box_g = (0.5 + mu) * inv_g * inv_g + mu * inv_gap * inv_gap
         dist_g = (0.5 * mu) * wd_g * inv_gap
         h_gamma = box_g + dist_g
+        n = g.size
+        u = np.zeros((2, x.size))
+        u[0, :n] = wd_g
         if self.pinned:
-            return grad_g, _Curvature(h_gamma, None, None, None, wd_g[None, :], mu)
+            return r_g, _Curvature(h_gamma, None, None, None, u, mu)
 
         inv_h = 1.0 / h
-        wd_h = w * d_h
-        grad_h = mu * (wd_h - inv_h)
+        u[0, n:] = w * d_h
         box_h = mu * inv_h * inv_h
-        n = g.size
-        u = np.zeros((1 + self.has_perception, 2 * n))
-        u[0, :n] = wd_g
-        u[0, n:] = wd_h
         if self.has_perception:
             wp = self.p_weight / sp
-            p_h = wp * self.p_slopes(h)
-            grad_h = grad_h + mu * p_h
+            u[1, n:] = wp * self.p_slopes(h)
             box_h = box_h + (mu * wp) * self.p_curvatures(h)
-            u[1, n:] = p_h
         h_hat = box_h + (0.5 * mu) * w * (1.0 - d_h) * inv_h
         # h_cross**2 is dist_g times the distortion term of h_hat, so the
         # determinant is a sum of positive terms
         det = box_g * h_hat + dist_g * box_h
-        return np.concatenate([grad_g, grad_h]), _Curvature(
+        return np.concatenate([r_g, -mu * inv_h]), _Curvature(
             h_gamma, h_hat, (0.5 * mu) * wd_g * inv_h, det, u, mu
         )
 
@@ -330,20 +342,17 @@ def _minimize_stage(problem: _BarrierProblem, x, mu: float):
     feasible set the barrier Hessian is positive definite: the objective
     and the box barriers are strictly convex in each water level and
     reconstruction variance, and the budget barriers are convex
-    (Boyd & Vandenberghe, section 11.3).  So the Newton direction descends;
-    one that rounding turns uphill has a nonpositive decrement and ends the
-    stage like a converged one.  The direction comes from the Hessian's
-    structure (:meth:`_Curvature.solve`) in O(L) work, and the slacks of
-    each accepted point carry over to the next step's derivatives.
+    (Boyd & Vandenberghe, section 11.3).  The direction and its squared
+    decrement come from the Hessian's structure (:meth:`_Curvature.solve`)
+    in O(L) work, the decrement as a sum of nonnegative terms, and the
+    slacks of each accepted point carry over to the next step's
+    derivatives.  A step is accepted only if it meets the Armijo condition
+    and strictly lowers the barrier value.
 
-    The stage ends when the squared Newton decrement ``-grad @ direction``
-    falls to ``_DECREMENT_TOL``.  That product, twice the decrease the
-    Newton model predicts, is invariant under any rescaling of the
-    coordinates, and in ``(g, h)`` its factors are free of units too.  It
-    also ends after an accepted step that leaves the barrier value
-    unchanged: the decrement can sit just above its threshold while every
-    step the backtrack accepts is too short to move the value off its
-    rounding floor.
+    The stage ends when the squared Newton decrement falls to
+    ``_DECREMENT_TOL``.  That number, twice the decrease the Newton model
+    predicts, is invariant under any rescaling of the coordinates, and in
+    ``(g, h)`` its factors are free of units too.
 
     A stage takes at most ``_MAX_STAGE_ITERATIONS`` steps plus one per
     variable, since its damped steps grow about linearly with L.
@@ -351,24 +360,21 @@ def _minimize_stage(problem: _BarrierProblem, x, mu: float):
     Raises
     ------
     LineSearchError
-        If no backtrack of a Newton step meets the Armijo condition.
+        If no backtrack of a Newton step meets the Armijo condition and
+        lowers the barrier value.
     """
     value, slacks = problem.evaluate(x, mu)
     max_steps = _MAX_STAGE_ITERATIONS + x.size
     for steps in range(max_steps):
-        grad, curvature = problem.derivatives(x, mu, slacks)
-        direction = curvature.solve(-grad)
-        slope = float(grad @ direction)
-        if -slope <= _DECREMENT_TOL:
+        r, curvature = problem.derivatives(x, mu, slacks)
+        direction, decrement_sq = curvature.solve(r)
+        if decrement_sq <= _DECREMENT_TOL:
             return x, steps
         t = 1.0
         for _ in range(_MAX_BACKTRACKS):
             cand = x + t * direction
             cand_value, cand_slacks = problem.evaluate(cand, mu)
-            if cand_value <= value + _ARMIJO_C * t * slope:
-                if not cand_value < value:
-                    # the step no longer lowers the value: rounding floor
-                    return cand, steps + 1
+            if cand_value < value and cand_value <= value - _ARMIJO_C * t * decrement_sq:
                 x, value, slacks = cand, cand_value, cand_slacks
                 break
             t *= 0.5
@@ -376,7 +382,7 @@ def _minimize_stage(problem: _BarrierProblem, x, mu: float):
             raise LineSearchError(
                 "barrier stage stalled",
                 barrier_mu=mu,
-                newton_decrement_sq=-slope,
+                newton_decrement_sq=decrement_sq,
             )
     return x, max_steps
 
@@ -414,13 +420,10 @@ def minimize_primal(s: SourceSpectrum, q: TradeoffQuery) -> OracleResult:
         function enough.
     """
     problem = _BarrierProblem(s, q.distortion_budget, q.perception_budget, q.metric)
-    x, mu, newton_steps = _interior_start(problem), MU_INITIAL, 0
-    while True:
+    x, newton_steps = _interior_start(problem), 0
+    for mu in _BARRIER_WEIGHTS:
         x, steps = _minimize_stage(problem, x, mu)
         newton_steps += steps
-        if mu <= MU_FINAL * (1.0 + 1e-12):
-            break
-        mu = max(mu * MU_SHRINK, MU_FINAL)
     g, h = problem.split(x)
     return OracleResult(
         rate=_rate(g),

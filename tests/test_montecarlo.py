@@ -86,18 +86,19 @@ def test_sampler_is_exact_where_the_elementwise_form_cancels(lambda_hat_ratio):
     # at gamma = 1e-12*lam, z and zhat agree to about 1e-6 of either, so an
     # elementwise z - zhat rounds at eps*sqrt(lam) per sample (up to 1e-11
     # relative in the mean distortion); the sampler forms z - zhat from the
-    # exact coefficient l11 - l21, so the mean and its standard error keep
-    # the rounding of the sums themselves
+    # cancellation-free coefficient l11 - l21, so the mean and its standard
+    # error keep the rounding of the sums themselves
     lam = 3.7
     pair = build_pair(lam, 1e-12 * lam, lambda_hat_ratio * lam)
     n = 2000
     rep = sample_and_measure(pair, n, 11, stream=0)
     normals = np.random.Generator(np.random.SFC64([11, 0])).standard_normal((n, 2))
     with mpmath.workdps(40):
-        l11, l21, l22 = (mpmath.mpf(v) for v in montecarlo._lower_factor(pair))
+        l11_l21 = mpmath.mpf(montecarlo._difference_coefficient(pair))
+        l22 = mpmath.mpf(montecarlo._lower_factor(pair)[2])
         n0 = [mpmath.mpf(float(v)) for v in normals[:, 0]]
         n1 = [mpmath.mpf(float(v)) for v in normals[:, 1]]
-        d = [((l11 - l21) * a - l22 * b) ** 2 for a, b in zip(n0, n1)]
+        d = [(l11_l21 * a - l22 * b) ** 2 for a, b in zip(n0, n1)]
         mean_d = mpmath.fsum(d) / n
         var_d = (mpmath.fsum(v * v for v in d) - n * mean_d**2) / (n - 1)
         exact = (mean_d, mpmath.sqrt(var_d / n))
