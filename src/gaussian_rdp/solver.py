@@ -12,13 +12,22 @@ A query (D, P, metric) lands in one of three regimes, checked in order:
    infinite), which forces the next regime.
 3. Both constraints active: a pair of positive multipliers (nu1, nu2) is
    sought so that the per-component stationary allocations meet both budgets
-   with equality. The concave Lagrange dual is maximized by Newton steps
-   in the relative coordinates ``delta/nu``: its gradient is the pair of
-   constraint slacks, and its Hessian is taken in closed form from the
-   allocations one dual evaluation returns.  A step that is refused is
-   damped Levenberg-Marquardt style, adding a multiple of the identity to
-   the Hessian, which turns it toward the gradient and shortens it; the
-   damping eases again after each accepted step.
+   with equality. The dual's gradient is the pair of constraint slacks,
+   and its Hessian, the slack Jacobian, is taken in closed form from the
+   allocations one dual evaluation returns.  Distortion and perception
+   behave close to power laws in each multiplier, so each iteration first
+   tries one Newton step on ``(log(dist/D), log(perc/P))`` in ``log(nu)``,
+   shortened to move no multiplier by more than a factor e^8, and kept if
+   the larger relative slack falls by a tenth.  Otherwise it takes
+   a Newton step on the concave dual in the relative coordinates
+   ``delta/nu``, damped Levenberg-Marquardt style where it is refused: a
+   multiple of the identity added to the Hessian turns the step toward the
+   gradient and shortens it, and the damping eases again after each
+   accepted step.  Once both budgets hold, one more log step is taken
+   where the envelope estimate ``|nu1*slack_d + nu2*slack_p|`` of the
+   rate's error exceeds 1e-10 of the rate, and kept if the slacks do not
+   grow: near zero rate, budgets met to 1e-9 of themselves can still leave
+   the rate off in its seventh digit.
 
 A perception budget of exactly zero pins every reconstruction variance to
 its source variance, sending nu2 to infinity; that regime is handled by a
@@ -71,6 +80,13 @@ _BUDGET_RTOL = 1e-9
 _MAX_DUAL_ITERATIONS = 500
 _ARMIJO_C = 1e-4
 _MAX_DAMPINGS = 60
+# far from the root, where the budget sums are not yet power laws in nu, a
+# log step can ask for factors like e^342 that still cut the slacks by a
+# tenth; steps are shortened to change no multiplier by more than e^8
+_MAX_LOG_STEP = 8.0
+# a met search takes one more log step where the rate's first-order error
+# exceeds this fraction of the rate
+_POLISH_RTOL = 1e-10
 
 
 class _DualState:
@@ -149,36 +165,71 @@ def _slack_jacobian(
     return -np.array([[j_dd.sum(), j_dp.sum()], [j_dp.sum(), j_pp.sum()]])
 
 
-def _try_newton(
-    lam: np.ndarray, nu: np.ndarray, state: _DualState,
+def _budget_ratio(state: _DualState, tol_d: float, tol_p: float) -> float:
+    """The larger slack in units of its tolerance: 1 or less meets both."""
+    return max(abs(state.slack_d) / tol_d, abs(state.slack_p) / tol_p)
+
+
+def _log_step(nu1: float, nu2: float, state: _DualState, jac, D: float, P: float):
+    """Newton step ``dt`` on ``F = (log(dist/D), log(perc/P))`` in ``t = log(nu)``.
+
+    Distortion and perception behave close to power laws in each
+    multiplier, so ``F`` is nearly linear in ``t`` where the slacks are
+    strongly curved in ``nu``.  Its Jacobian is ``diag(1/dist, 1/perc) J
+    diag(nu)`` for the slack Jacobian ``J``; the 2 by 2 system is solved by
+    Cramer's rule on Python floats.  A step longer than ``_MAX_LOG_STEP``
+    in either coordinate is shortened along its direction to that length.
+    None where a budget sum is not positive, or the system is singular or
+    not finite.
+    """
+    r0, r1 = state.slack_d / D, state.slack_p / P
+    if not (r0 > -1.0 and r1 > -1.0):
+        return None
+    dist, perc = D + state.slack_d, P + state.slack_p
+    (j00, j01), (j10, j11) = jac
+    m00, m01, m10, m11 = j00 * nu1 / dist, j01 * nu2 / dist, j10 * nu1 / perc, j11 * nu2 / perc
+    det = m00 * m11 - m01 * m10
+    if not (det != 0.0 and math.isfinite(det)):
+        return None
+    f0, f1 = math.log1p(r0), math.log1p(r1)
+    dt0, dt1 = (m01 * f1 - m11 * f0) / det, (m10 * f0 - m00 * f1) / det
+    if not (math.isfinite(dt0) and math.isfinite(dt1)):
+        return None
+    big = max(abs(dt0), abs(dt1))
+    if big > _MAX_LOG_STEP:
+        dt0, dt1 = dt0 * (_MAX_LOG_STEP / big), dt1 * (_MAX_LOG_STEP / big)
+    return dt0, dt1
+
+
+def _damped_step(
+    lam: np.ndarray, nu: np.ndarray, state: _DualState, jac,
     metric: PerceptionMetric, D: float, P: float,
     tol_d: float, tol_p: float, mu: float,
 ):
-    """One damped Newton step on the dual; None if every damping fails.
+    """One damped Newton step in relative coordinates; None if every damping fails.
 
     In relative coordinates ``y = delta/nu`` the step solves
     ``(H + mu*I) y = b`` with ``b = nu*slacks`` and ``H = -diag(nu) J
     diag(nu)`` for the exact slack Jacobian ``J`` (``H = 0`` where it is not
-    finite), at no extra dual evaluation.  A step is accepted when each
-    multiplier stays above a tenth of itself and either the larger relative
-    slack falls by a tenth or, once damped, the dual value meets the Armijo
-    condition on the gain ``b @ y``; otherwise ``mu`` grows tenfold, from
-    at least 1e-6 of the larger of ``tr H`` and ``max |b|``.  Undamped
-    steps must cut the slacks: on the Armijo test alone, full Newton steps
-    can walk a search toward ``nu = 0``.  The 2 by 2 algebra runs on
-    Python floats, by Cramer's rule; a singular system (``det = 0``) has
-    no step and is damped further.  Returns the new multipliers, their
-    evaluation and the ``mu`` that was accepted.
+    finite).  A step is accepted when each multiplier stays above a tenth
+    of itself and either the larger relative slack falls by a tenth or,
+    once damped, the dual value meets the Armijo condition on the gain
+    ``b @ y``; otherwise ``mu`` grows tenfold, from at least 1e-6 of the
+    larger of ``tr H`` and ``max |b|``.  Undamped steps must cut the
+    slacks: on the Armijo test alone, full Newton steps can walk a search
+    toward ``nu = 0``.  The 2 by 2 algebra runs on Python floats, by
+    Cramer's rule; a singular system (``det = 0``) has no step and is
+    damped further.  Returns the new multipliers, their evaluation and the
+    ``mu`` that was accepted.
     """
     nu1, nu2 = nu.tolist()
     b0, b1 = nu1 * state.slack_d, nu2 * state.slack_p
-    with np.errstate(all="ignore"):
-        (j00, j01), (j10, j11) = _slack_jacobian(lam, nu[0], nu[1], state, metric).tolist()
+    (j00, j01), (j10, j11) = jac
     h00, h01, h10, h11 = -nu1 * j00 * nu1, -nu1 * j01 * nu2, -nu2 * j10 * nu1, -nu2 * j11 * nu2
     if not all(map(math.isfinite, (h00, h01, h10, h11))):
         h00 = h01 = h11 = 0.0
     mu_floor = 1e-6 * max(h00 + h11, abs(b0), abs(b1))
-    phi = max(abs(state.slack_d) / tol_d, abs(state.slack_p) / tol_p)
+    phi = _budget_ratio(state, tol_d, tol_p)
     for _ in range(_MAX_DAMPINGS):
         a00, a11 = h00 + mu, h11 + mu
         det = a00 * a11 - h01 * h01
@@ -189,13 +240,55 @@ def _try_newton(
             if -0.9 < y0 < math.inf and -0.9 < y1 < math.inf:
                 cand = np.array([nu1 * (1.0 + y0), nu2 * (1.0 + y1)])
                 st = _evaluate_dual(lam, cand[0], cand[1], metric, D, P)
-                cand_phi = max(abs(st.slack_d) / tol_d, abs(st.slack_p) / tol_p)
-                if cand_phi < 0.9 * phi or (
+                if _budget_ratio(st, tol_d, tol_p) < 0.9 * phi or (
                     mu > 0.0 and st.value >= state.value + _ARMIJO_C * (b0 * y0 + b1 * y1)
                 ):
                     return cand, st, mu
         mu = max(10.0 * mu, mu_floor)
     return None
+
+
+def _log_candidate(
+    lam: np.ndarray, nu: np.ndarray, state: _DualState, jac,
+    metric: PerceptionMetric, D: float, P: float,
+):
+    """The multipliers ``nu*exp(dt)`` of one :func:`_log_step` and their
+    evaluation; None where there is no step."""
+    nu1, nu2 = nu.tolist()
+    dt = _log_step(nu1, nu2, state, jac, D, P)
+    if dt is None:
+        return None
+    cand = np.array([nu1 * math.exp(dt[0]), nu2 * math.exp(dt[1])])
+    return cand, _evaluate_dual(lam, cand[0], cand[1], metric, D, P)
+
+
+def _jacobian_floats(lam: np.ndarray, nu: np.ndarray, state: _DualState, metric: PerceptionMetric):
+    # entries may be inf or nan where an allocation degenerates; the steps
+    # test for that on Python floats
+    with np.errstate(all="ignore"):
+        return _slack_jacobian(lam, nu[0], nu[1], state, metric).tolist()
+
+
+def _try_newton(
+    lam: np.ndarray, nu: np.ndarray, state: _DualState,
+    metric: PerceptionMetric, D: float, P: float,
+    tol_d: float, tol_p: float, mu: float,
+):
+    """One Newton iteration on the dual; None if every damping fails.
+
+    The exact slack Jacobian comes at no extra dual evaluation.  First one
+    undamped :func:`_log_step` is tried, and kept if the larger relative
+    slack falls by a tenth; otherwise the iteration falls back to
+    :func:`_damped_step`, whose damping starts at ``mu``.  Returns the new
+    multipliers, their evaluation and the ``mu`` to carry into the next
+    iteration (``mu`` itself after a log step).
+    """
+    jac = _jacobian_floats(lam, nu, state, metric)
+    trial = _log_candidate(lam, nu, state, jac, metric, D, P)
+    phi = _budget_ratio(state, tol_d, tol_p)
+    if trial is not None and _budget_ratio(trial[1], tol_d, tol_p) < 0.9 * phi:
+        return (*trial, mu)
+    return _damped_step(lam, nu, state, jac, metric, D, P, tol_d, tol_p, mu)
 
 
 def _search_error(cls, message: str, iterations: int, nu: np.ndarray, state: _DualState):
@@ -235,6 +328,17 @@ def _dual_search(
                 ConvergenceError, "dual search exhausted its iteration budget",
                 _MAX_DUAL_ITERATIONS, nu, state,
             )
+    # by the envelope identities the rate is off by about nu1*slack_d +
+    # nu2*slack_p, which near zero rate can exceed the rate's own digits
+    # while both budgets hold; one more log step, kept if the slacks do not
+    # grow, removes most of it
+    envelope = float(nu[0] * state.slack_d + nu[1] * state.slack_p)
+    if abs(envelope) > _POLISH_RTOL * (state.value - envelope):
+        jac = _jacobian_floats(lam, nu, state, metric)
+        trial = _log_candidate(lam, nu, state, jac, metric, D, P)
+        phi = _budget_ratio(state, tol_d, tol_p)
+        if trial is not None and _budget_ratio(trial[1], tol_d, tol_p) <= phi:
+            nu, state = trial
     if not np.all(state.gaps > 0.0):
         raise _search_error(
             ConvergenceError, "dual search ended on a component at zero rate",
