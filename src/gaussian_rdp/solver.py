@@ -23,11 +23,15 @@ A query (D, P, metric) lands in one of three regimes, checked in order:
    ``delta/nu``, damped Levenberg-Marquardt style where it is refused: a
    multiple of the identity added to the Hessian turns the step toward the
    gradient and shortens it, and the damping eases again after each
-   accepted step.  Once both budgets hold, one more log step is taken
-   where the envelope estimate ``|nu1*slack_d + nu2*slack_p|`` of the
-   rate's error exceeds 1e-10 of the rate, and kept if the slacks do not
-   grow: near zero rate, budgets met to 1e-9 of themselves can still leave
-   the rate off in its seventh digit.
+   accepted step.  The search stops once both budgets hold to 1e-9 of
+   themselves and the envelope estimate ``|nu1*slack_d + nu2*slack_p|`` of
+   the rate's error is at most 1e-10 of the rate, or after one more step
+   from a point where the budgets hold: near zero rate, budgets met to
+   1e-9 of themselves can still leave the rate off in its seventh digit.
+   Where the perception sum's own rounding error exceeds 1e-9 of P (tiny
+   budgets, ``lambda_hat/lam`` within about 1e-6 of one), P is held to
+   that error instead, up to 1e-6 of P.  A step that leaves the
+   multipliers unchanged ends the search with ``LineSearchError``.
 
 A perception budget of exactly zero pins every reconstruction variance to
 its source variance, sending nu2 to infinity; that regime is handled by a
@@ -77,6 +81,10 @@ __all__ = [
 # each budget is met to this fraction of itself, so a small budget is met
 # to the same number of digits as a large one
 _BUDGET_RTOL = 1e-9
+# a perception sum whose own rounding error exceeds that is met to its
+# rounding error instead, up to this fraction of the budget
+_NOISY_BUDGET_RTOL = 1e-6
+_EPS = float(np.finfo(float).eps)
 _MAX_DUAL_ITERATIONS = 500
 _ARMIJO_C = 1e-4
 _MAX_DAMPINGS = 60
@@ -84,7 +92,7 @@ _MAX_DAMPINGS = 60
 # log step can ask for factors like e^342 that still cut the slacks by a
 # tenth; steps are shortened to change no multiplier by more than e^8
 _MAX_LOG_STEP = 8.0
-# a met search takes one more log step where the rate's first-order error
+# a met search takes one more step where the rate's first-order error
 # exceeds this fraction of the rate
 _POLISH_RTOL = 1e-10
 
@@ -248,20 +256,6 @@ def _damped_step(
     return None
 
 
-def _log_candidate(
-    lam: np.ndarray, nu: np.ndarray, state: _DualState, jac,
-    metric: PerceptionMetric, D: float, P: float,
-):
-    """The multipliers ``nu*exp(dt)`` of one :func:`_log_step` and their
-    evaluation; None where there is no step."""
-    nu1, nu2 = nu.tolist()
-    dt = _log_step(nu1, nu2, state, jac, D, P)
-    if dt is None:
-        return None
-    cand = np.array([nu1 * math.exp(dt[0]), nu2 * math.exp(dt[1])])
-    return cand, _evaluate_dual(lam, cand[0], cand[1], metric, D, P)
-
-
 def _jacobian_floats(lam: np.ndarray, nu: np.ndarray, state: _DualState, metric: PerceptionMetric):
     # entries may be inf or nan where an allocation degenerates; the steps
     # test for that on Python floats
@@ -284,10 +278,13 @@ def _try_newton(
     iteration (``mu`` itself after a log step).
     """
     jac = _jacobian_floats(lam, nu, state, metric)
-    trial = _log_candidate(lam, nu, state, jac, metric, D, P)
-    phi = _budget_ratio(state, tol_d, tol_p)
-    if trial is not None and _budget_ratio(trial[1], tol_d, tol_p) < 0.9 * phi:
-        return (*trial, mu)
+    nu1, nu2 = nu.tolist()
+    dt = _log_step(nu1, nu2, state, jac, D, P)
+    if dt is not None:
+        cand = np.array([nu1 * math.exp(dt[0]), nu2 * math.exp(dt[1])])
+        st = _evaluate_dual(lam, cand[0], cand[1], metric, D, P)
+        if _budget_ratio(st, tol_d, tol_p) < 0.9 * _budget_ratio(state, tol_d, tol_p):
+            return cand, st, mu
     return _damped_step(lam, nu, state, jac, metric, D, P, tol_d, tol_p, mu)
 
 
@@ -296,6 +293,38 @@ def _search_error(cls, message: str, iterations: int, nu: np.ndarray, state: _Du
         message, iterations=iterations, nu1=float(nu[0]), nu2=float(nu[1]),
         slack_distortion=float(state.slack_d), slack_perception=float(state.slack_p),
     )
+
+
+def _perception_noise(lam: np.ndarray, hats: np.ndarray, metric: PerceptionMetric) -> float:
+    """Rounding error of the perception sum at these reconstruction variances.
+
+    Near ``lambda_hat = lam`` each term is a difference of nearly equal
+    parts, so its error is about one rounding of the deviation
+    (``lambda_hat/lam - 1`` under KL, ``sqrt(lam) - sqrt(lambda_hat)``
+    under W2) times the term's slope in it.
+    """
+    if metric is PerceptionMetric.KL:
+        return _EPS * float(np.abs(hats / lam - 1.0).sum())
+    root = np.sqrt(lam)
+    return 2.0 * _EPS * float((np.abs(root - np.sqrt(hats)) * root).sum())
+
+
+def _budgets_met(
+    lam: np.ndarray, state: _DualState, metric: PerceptionMetric, tol_d: float, tol_p: float
+) -> bool:
+    """Both slacks within tolerance.
+
+    Where the perception sum's own rounding error exceeds ``tol_p`` no
+    multiplier pair may meet ``tol_p``, so the perception slack is held to
+    that error instead, up to ``_NOISY_BUDGET_RTOL`` of the budget.
+    """
+    if not abs(state.slack_d) <= tol_d:
+        return False
+    slack = abs(state.slack_p)
+    if slack <= tol_p:
+        return True
+    noisy_tol = tol_p * (_NOISY_BUDGET_RTOL / _BUDGET_RTOL)
+    return slack <= min(_perception_noise(lam, state.hats, metric), noisy_tol)
 
 
 def _dual_search(
@@ -311,34 +340,36 @@ def _dual_search(
     nu = np.array([0.5 / level, nu2])
     state = _evaluate_dual(lam, nu[0], nu[1], metric, D, P)
     mu = 0.0
+    polishing = False
     for iteration in range(_MAX_DUAL_ITERATIONS):
-        if abs(state.slack_d) <= tol_d and abs(state.slack_p) <= tol_p:
-            break
+        met = _budgets_met(lam, state, metric, tol_d, tol_p)
+        if met:
+            # by the envelope identities the rate is off by about
+            # nu1*slack_d + nu2*slack_p, which near zero rate can exceed
+            # the rate's own digits while both budgets hold: one more step
+            # polishes it
+            envelope = float(nu[0] * state.slack_d + nu[1] * state.slack_p)
+            if polishing or abs(envelope) <= _POLISH_RTOL * (state.value - envelope):
+                break
         newton = _try_newton(lam, nu, state, metric, D, P, tol_d, tol_p, mu)
-        if newton is None:
+        # a step that leaves nu as it was would only be repeated from the
+        # same state
+        if newton is None or np.array_equal(newton[0], nu):
+            if met:
+                break
             raise _search_error(
                 LineSearchError, "dual ascent stalled before meeting the budget equations",
                 iteration, nu, state,
             )
+        polishing = met
         nu, state, mu = newton
         mu *= 0.1
     else:
-        if not (abs(state.slack_d) <= tol_d and abs(state.slack_p) <= tol_p):
+        if not _budgets_met(lam, state, metric, tol_d, tol_p):
             raise _search_error(
                 ConvergenceError, "dual search exhausted its iteration budget",
                 _MAX_DUAL_ITERATIONS, nu, state,
             )
-    # by the envelope identities the rate is off by about nu1*slack_d +
-    # nu2*slack_p, which near zero rate can exceed the rate's own digits
-    # while both budgets hold; one more log step, kept if the slacks do not
-    # grow, removes most of it
-    envelope = float(nu[0] * state.slack_d + nu[1] * state.slack_p)
-    if abs(envelope) > _POLISH_RTOL * (state.value - envelope):
-        jac = _jacobian_floats(lam, nu, state, metric)
-        trial = _log_candidate(lam, nu, state, jac, metric, D, P)
-        phi = _budget_ratio(state, tol_d, tol_p)
-        if trial is not None and _budget_ratio(trial[1], tol_d, tol_p) <= phi:
-            nu, state = trial
     if not np.all(state.gaps > 0.0):
         raise _search_error(
             ConvergenceError, "dual search ended on a component at zero rate",

@@ -15,7 +15,7 @@ import pytest
 from gaussian_rdp import kernels, solver
 from gaussian_rdp.classic_rd import reverse_waterfill
 from gaussian_rdp.cli import main
-from gaussian_rdp.errors import ConvergenceError, DomainError, OutOfRangeError
+from gaussian_rdp.errors import ConvergenceError, DomainError, LineSearchError, OutOfRangeError
 from gaussian_rdp.kkt import solution_residuals
 from gaussian_rdp.model import (
     PerceptionMetric,
@@ -482,6 +482,74 @@ def test_rate_near_zero_is_accurate_to_its_own_digits():
     sol = solver.solve(SourceSpectrum(lam), TradeoffQuery(D, P, PerceptionMetric.KL))
     assert sol.case_tag is SolutionCase.BOTH_ACTIVE
     assert abs(sol.total_rate - 1.8414261287e-6) <= 1e-9 * 1.8414261287e-6
+
+
+# spectra 0, 2, 3, 4 and 9 of a seeded tiny-budget sweep (numpy
+# default_rng(20261020), L = integers(1, 9), lambda = exp(uniform(0, log 100,
+# L)), D = 0.3 tr); P is the KL budget itself, or P/tr for W2
+TINY_BUDGET_SPECTRA = {
+    0: [1.853388906478313, 52.58487620789364, 5.563365270435626, 26.739978821226625,
+        62.025967096112616, 1.5175676018761146, 67.75266423458588],
+    2: [33.85479735434536, 20.94653415586685, 11.612326986094617, 13.91774206278429,
+        5.221630686709379],
+    3: [30.267209937005834, 23.335913016080806, 1.242967680636447, 1.3489120186121746,
+        6.124621228269264],
+    4: [5.018667374438065, 25.610469242148852, 17.118804868453967, 68.39954564890864,
+        9.062912016160052],
+    9: [67.35770988140824, 2.2718348818083554],
+}
+# the perception sum's rounding error is 6 to 55 times 1e-9 of P here, so
+# no multiplier pair may meet that tolerance: a search that stopped only
+# there landed within it by luck, and once spun through its iteration
+# budget on each of these. The rates are those of such lucky searches
+TINY_BUDGET_QUERIES = {
+    "kl-s3-1e-15": (3, PerceptionMetric.KL, 1e-15, 2.0091439444128),
+    "w2-s0-1e-16": (0, PerceptionMetric.W2, 1e-16, 2.88403670812848),
+    "w2-s0-1e-15.5": (0, PerceptionMetric.W2, 10**-15.5, 2.88403668425906),
+    "w2-s2-1e-15.5": (2, PerceptionMetric.W2, 10**-15.5, 2.84940303020452),
+    "w2-s3-1e-16.5": (3, PerceptionMetric.W2, 10**-16.5, 2.00914395670033),
+    "w2-s4-1e-14.5": (4, PerceptionMetric.W2, 10**-14.5, 2.44237386936639),
+    "w2-s9-1e-16": (9, PerceptionMetric.W2, 1e-16, 0.731251024924712),
+}
+
+
+@pytest.mark.parametrize("query", TINY_BUDGET_QUERIES.values(), ids=TINY_BUDGET_QUERIES.keys())
+def test_tiny_perception_budgets_are_met_to_their_rounding_error(query):
+    spectrum, metric, p, rate = query
+    lam = np.array(TINY_BUDGET_SPECTRA[spectrum])
+    tr = float(lam.sum())
+    D, P = 0.3 * tr, p * tr if metric is PerceptionMetric.W2 else p
+    sol = solver.solve(SourceSpectrum(lam), TradeoffQuery(D, P, metric))
+    assert sol.case_tag is SolutionCase.BOTH_ACTIVE
+    assert sol.achieved_distortion <= D * (1.0 + 1e-6)
+    assert sol.achieved_perception <= P * (1.0 + 1e-6)
+    assert abs(sol.total_rate - rate) <= 1e-10 * rate
+
+
+@pytest.mark.parametrize(
+    "spectrum,metric,p",
+    [(2, PerceptionMetric.KL, 1e-21), (9, PerceptionMetric.W2, 10**-23.5)],
+    ids=["kl-s2-1e-21", "w2-s9-1e-23.5"],
+)
+def test_budgets_below_their_rounding_error_raise(spectrum, metric, p):
+    # here the perception sum's rounding error exceeds 1e-6 of P, so no
+    # point can be shown to meet the budget: the search raises, where
+    # stopping within that error returned a budget miss
+    lam = np.array(TINY_BUDGET_SPECTRA[spectrum])
+    tr = float(lam.sum())
+    P = p * tr if metric is PerceptionMetric.W2 else p
+    with pytest.raises(ConvergenceError):
+        solver.solve(SourceSpectrum(lam), TradeoffQuery(0.3 * tr, P, metric))
+
+
+def test_a_search_that_stops_moving_raises_at_once():
+    # (3, 2, 1), D = 3, KL P = 10: the root sits within about 1e-9 of
+    # nu1 = 1/(2*lambda_3), where the third component's gap vanishes; the
+    # damped step is accepted there with nu unchanged, and the search once
+    # repeated it to the end of its iteration budget
+    with pytest.raises(LineSearchError, match="stalled") as info:
+        solver.solve(SourceSpectrum([3.0, 2.0, 1.0]), TradeoffQuery(3.0, 10.0, PerceptionMetric.KL))
+    assert info.value.diagnostics["iterations"] < solver._MAX_DUAL_ITERATIONS
 
 
 def test_distortion_budget_is_met_relative_to_itself():
