@@ -20,16 +20,23 @@ minimization of ``rate + nu1*D + nu2*P`` decouples per component.  The
 stationary maps return arrays of water levels, gaps and reconstruction
 variances, so that one dual evaluation is one call per map.
 
-KL metric: ``gamma`` is the unique root in ``(0, lam)`` of
+KL metric: in units of the variance, with ``cap = 2*nu1*lam`` and
+``g = gamma/lam``, the stationarity condition
 
-    nu1*(1 - 2*nu1*g) = 0.5*nu2*(4*g^2*nu1^2/(lam-g) - 1/lam)
+    nu1*(1 - 2*nu1*gamma) = 0.5*nu2*(4*gamma^2*nu1^2/(lam-gamma) - 1/lam)
 
-after which ``lambda_hat = (lam-g)/(4*g^2*nu1^2)``.  Scaled by ``(lam-g)``
-the equation is a quadratic with a sign change over ``(0, lam)`` and no
-pole.  Its root is taken in closed form, by the cancellation-free quadratic
-formula, in the gap variable ``lam - g`` where the gap is at most ``lam/2``
-and in ``g`` itself elsewhere.
-An element where neither closed form lands inside ``(0, lam)`` (rounding
+scaled by ``2*(lam-gamma)`` is the quadratic
+
+    cap^2*(1 - nu2)*g^2 - (cap + cap^2 + nu2)*g + (cap + nu2) = 0,
+
+with a sign change over ``(0, 1)`` and no pole; then ``theta = cap*g`` and
+``lambda_hat = gap/theta^2``.  A variance enters only through ``cap`` (the
+KL multiplier ``nu2`` has no units), so the coefficients are of order one
+at any scale of the source and no ``nu1^2`` is formed.  The root is taken
+in closed form, by the cancellation-free quadratic formula, in the gap
+variable ``s = gap/lam = 1 - g`` where the gap is at most ``lam/2``, with
+the exact constant term ``-cap^2*nu2``, and in ``g`` itself elsewhere.
+An element where neither closed form lands inside ``(0, 1)`` (rounding
 at degenerate multipliers) gets a nonfinite ``lambda_hat``.
 
 W2 metric: with ``u = nu1/nu2``, ``cap = 2*nu1*lam`` and
@@ -132,20 +139,18 @@ def rate_gaps(lam: np.ndarray, rates: np.ndarray) -> np.ndarray:
     return -lam * np.expm1(-2.0 * rates)
 
 
-def _root_inside(a: float, b: np.ndarray, c: np.ndarray, lam: np.ndarray) -> np.ndarray:
-    """Smallest root in ``(0, lam)`` of ``a*x^2 + b*x + c``, ``inf`` if none.
+def _root_inside(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """Smallest root in ``(0, 1)`` of ``a*x^2 + b*x + c``, ``inf`` if none.
 
     The roots come from the quadratic formula in the form that avoids
     cancellation; a negative discriminant or an overflow leaves no root.
+    Where ``a = 0`` the root ``c/q`` is the linear one and ``q/a`` is none.
     """
-    if a == 0.0:
-        r = -c / b
-        return np.where((r > 0.0) & (r < lam), r, np.inf)
     q = -0.5 * (b + np.copysign(np.sqrt(b * b - 4.0 * a * c), b))
     r1 = q / a
     r2 = c / q
-    r1 = np.where((r1 > 0.0) & (r1 < lam), r1, np.inf)
-    return np.minimum(r1, np.where((r2 > 0.0) & (r2 < lam), r2, np.inf))
+    r1 = np.where((r1 > 0.0) & (r1 < 1.0), r1, np.inf)
+    return np.minimum(r1, np.where((r2 > 0.0) & (r2 < 1.0), r2, np.inf))
 
 
 def stationary_pair_kl(
@@ -159,7 +164,7 @@ def stationary_pair_kl(
     itself rounds to ``lam``.  May
     return a nonfinite or zero ``lambda_hat`` when the multipliers are
     degenerate enough to underflow the gap, or to leave neither closed-form
-    root inside ``(0, lam)``; callers should treat that as a zero-rate
+    root inside ``(0, 1)``; callers should treat that as a zero-rate
     boundary evaluation.
 
     Raises
@@ -168,21 +173,21 @@ def stationary_pair_kl(
         If either multiplier is not strictly positive.
     """
     _check_duals(nu1, nu2)
-    a = 2.0 * nu1 * nu1 * (1.0 - nu2)
     with np.errstate(all="ignore"):
-        b = -(nu1 + 2.0 * nu1 * nu1 * lam + 0.5 * nu2 / lam)
-        # gap quadratic: shift g = lam - x; its constant term is the exact
-        # product -2 nu1^2 lam^2 nu2
-        gap = _root_inside(a, -(2.0 * a * lam + b), -2.0 * nu1 * nu1 * nu2 * lam * lam, lam)
-        gamma = lam - gap
-        far = ~(gap <= 0.5 * lam)
-        if far.any():
-            l = lam[far]
-            g = _root_inside(a, b[far], nu1 * l + 0.5 * nu2, l)
-            gamma[far] = g
-            gap[far] = l - g
-        lam_hat = gap / (4.0 * gamma * gamma * (nu1 * nu1))
-    return gamma, gap, lam_hat
+        cap = (2.0 * nu1) * lam
+        cap2 = cap * cap
+        a = cap2 * (1.0 - nu2)
+        b = cap + cap2 + nu2
+        # gap form, g = 1 - s: its constant term is the exact product
+        # -cap^2 nu2
+        s = _root_inside(a, b - 2.0 * a, -cap2 * nu2)
+        near = s <= 0.5
+        g = np.where(near, 1.0 - s, _root_inside(a, -b, cap + nu2))
+        s = np.where(near, s, 1.0 - g)
+        gap = lam * s
+        theta = cap * g
+        lam_hat = gap / (theta * theta)
+    return lam * g, gap, lam_hat
 
 
 def _rho_w2(cap: np.ndarray, p: float, q: float) -> tuple[np.ndarray, int]:

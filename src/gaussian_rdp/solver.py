@@ -12,26 +12,33 @@ A query (D, P, metric) lands in one of three regimes, checked in order:
    infinite), which forces the next regime.
 3. Both constraints active: a pair of positive multipliers (nu1, nu2) is
    sought so that the per-component stationary allocations meet both budgets
-   with equality. The dual's gradient is the pair of constraint slacks,
-   and its Hessian, the slack Jacobian, is taken in closed form from the
-   allocations one dual evaluation returns.  Distortion and perception
-   behave close to power laws in each multiplier, so each iteration first
-   tries one Newton step on ``(log(dist/D), log(perc/P))`` in ``log(nu)``,
-   shortened to move no multiplier by more than a factor e^8, and kept if
-   the larger relative slack falls by a tenth.  Otherwise it takes
-   a Newton step on the concave dual in the relative coordinates
-   ``delta/nu``, damped Levenberg-Marquardt style where it is refused: a
-   multiple of the identity added to the Hessian turns the step toward the
-   gradient and shortens it, and the damping eases again after each
-   accepted step.  The search stops once both budgets hold to 1e-9 of
+   with equality. The dual's gradient is the pair of constraint slacks.
+   Its Hessian is taken in closed form from the allocations one dual
+   evaluation returns, in relative coordinates: ``H = -diag(nu) J
+   diag(nu)`` for the slack Jacobian ``J``, a sum of per-component terms
+   in units of each variance, so of order one at any scale of the source.
+   Distortion and perception behave close to power laws in each
+   multiplier, so each iteration first tries one Newton step on
+   ``F = (log(dist/D), log(perc/P))`` in ``log(nu)``, which solves
+   ``H dt = diag(nu*sums) F``, shortened to move no multiplier by more
+   than a factor e^8, and kept if the larger relative slack falls by a
+   tenth.  Otherwise it takes a Newton step on the concave dual in the
+   relative coordinates ``y = delta/nu``, ``(H + mu*I) y = nu*slacks``,
+   damped Levenberg-Marquardt style where it is refused: the multiple
+   ``mu`` of the identity turns the step toward the gradient and shortens
+   it, and the damping eases again after each accepted step.  Both 2 by 2
+   systems are solved by one Cramer's rule on Python floats.  The search
+   stops once both budgets hold to 1e-9 of
    themselves and the envelope estimate ``|nu1*slack_d + nu2*slack_p|`` of
    the rate's error is at most 1e-10 of the rate, or after one more step
    from a point where the budgets hold: near zero rate, budgets met to
    1e-9 of themselves can still leave the rate off in its seventh digit.
    Where the perception sum's own rounding error exceeds 1e-9 of P (tiny
    budgets, ``lambda_hat/lam`` within about 1e-6 of one), P is held to
-   that error instead, up to 1e-6 of P.  A step that leaves the
-   multipliers unchanged ends the search with ``LineSearchError``.
+   that error instead.  Where that error exceeds 1e-6 of P no point can
+   show the budget met, and a search that lands within it raises
+   ``ConvergenceError``.  A step that leaves the multipliers unchanged
+   ends the search with ``LineSearchError``.
 
 A perception budget of exactly zero pins every reconstruction variance to
 its source variance, sending nu2 to infinity; that regime is handled by a
@@ -134,43 +141,58 @@ def _evaluate_dual(
     return _DualState(value, dist - D, perc - P, gammas, gaps, hats)
 
 
-def _slack_jacobian(
+def _relative_hessian(
     lam: np.ndarray, nu1: float, nu2: float, state: _DualState,
     metric: PerceptionMetric,
-) -> np.ndarray:
-    """Exact Jacobian of the slacks in (nu1, nu2): the Hessian of the dual.
+) -> tuple[float, float, float]:
+    """Entries ``(H00, H01, H11)`` of the dual's Hessian in relative coordinates.
 
-    Each component's ``x = (gamma, lambda_hat)`` is stationary for
-    ``-0.5*log(gamma) + nu1*d + nu2*p``, so ``dx/dnu = -H^-1 G^T`` with
-    ``H`` its Hessian and ``G`` the rows ``grad d = (1/s, 1 - s)`` and
-    ``grad p = (0, p')``, ``s = sqrt(gap/lambda_hat)``: the Jacobian is
-    ``-sum G H^-1 G^T``.  ``H = diag(a, c) + k*v*v^T`` with
-    ``a = 1/(2*gamma^2)``, ``c = nu2*p''``, ``v = (1, s^2)`` and
-    ``k = nu1/(2*lambda_hat*s^3)``; its adjugate and determinant over ``k``
-    are free of cancellation and stay finite at a zero gap, where only
-    ``lambda_hat`` responds.
+    ``H = -diag(nu) J diag(nu)`` for the exact Jacobian ``J`` of the slacks
+    in ``(nu1, nu2)``.  Each component's ``x = (gamma, lambda_hat)`` is
+    stationary for ``-0.5*log(gamma) + nu1*d + nu2*p``, so
+    ``dx/dnu = -K^-1 G^T`` with ``K`` its Hessian and ``G`` the rows
+    ``grad d = (1/s, 1 - s)`` and ``grad p = (0, p')``,
+    ``s = sqrt(gap/lambda_hat)``: ``J = -sum G K^-1 G^T``.  In units of the
+    variance, ``g = gamma/lam`` and ``h = lambda_hat/lam``, ``d/lam`` and
+    the perception term (KL) or its ratio to ``lam`` (W2) depend on
+    ``(g, h)`` alone, so each component is the one of unit variance with
+    multipliers ``k = nu1*lam`` and ``w = nu2`` (KL) or ``w = nu2*lam``
+    (W2).  As ``nu1*d/dnu1 = k*d/dk`` and ``nu2*d/dnu2 = w*d/dw``,
+
+        H = sum [[k^2, k*w], [k*w, w^2]] * (G K^-1 G^T at unit variance),
+
+    elementwise, every factor of order one at any scale of the source.
+    There ``K = diag(a, c) + v*v^T/u`` with ``a = 1/(2*g^2)``,
+    ``c = w*p''``, ``v = (1, s^2)`` and ``u = 2*h*s^3/k``; its adjugate and
+    determinant times ``u`` are free of cancellation and stay finite at a
+    zero gap, where only ``lambda_hat`` responds.  Entries may be inf or
+    nan where an allocation degenerates; the steps test for that on Python
+    floats.
     """
-    g, gap, hat = state.gammas, state.gaps, state.hats
-    s = np.sqrt(gap / hat)
-    if metric is PerceptionMetric.KL:
-        dp = 0.5 * (1.0 / lam - 1.0 / hat)
-        c = nu2 * (0.5 / (hat * hat))
-    else:
-        r = np.sqrt(lam / hat)
-        dp = 1.0 - r
-        c = nu2 * (0.5 * r / hat)
-    a = 0.5 / (g * g)
-    # u = 1/k, and u/s^2 formed without a division, so a zero gap divides
-    # nothing
-    u_s2 = (2.0 / nu1) * hat * s
-    u = u_s2 * s * s
-    m = 1.0 - s
-    t = 1.0 - 2.0 * s
-    den = u * a * c + c + a * s**4
-    j_dd = (u_s2 * c + u * a * m * m + t * t) / den
-    j_dp = dp * (u * a * m + t) / den
-    j_pp = dp * dp * (u * a + 1.0) / den
-    return -np.array([[j_dd.sum(), j_dp.sum()], [j_dp.sum(), j_pp.sum()]])
+    with np.errstate(all="ignore"):
+        g, h = state.gammas / lam, state.hats / lam
+        s = np.sqrt(state.gaps / state.hats)
+        k = nu1 * lam
+        if metric is PerceptionMetric.KL:
+            w = nu2
+            dp = 0.5 * (1.0 - 1.0 / h)
+            c = w * (0.5 / (h * h))
+        else:
+            w = nu2 * lam
+            r = np.sqrt(1.0 / h)
+            dp = 1.0 - r
+            c = w * (0.5 * r / h)
+        a = 0.5 / (g * g)
+        # u/s^2 formed without a division, so a zero gap divides nothing
+        u_s2 = (2.0 / k) * h * s
+        u = u_s2 * s * s
+        m = 1.0 - s
+        t = 1.0 - 2.0 * s
+        den = u * a * c + c + a * s**4
+        h00 = k * k * (u_s2 * c + u * a * m * m + t * t) / den
+        h01 = k * w * dp * (u * a * m + t) / den
+        h11 = w * w * dp * dp * (u * a + 1.0) / den
+        return float(h00.sum()), float(h01.sum()), float(h11.sum())
 
 
 def _budget_ratio(state: _DualState, tol_d: float, tol_p: float) -> float:
@@ -178,89 +200,79 @@ def _budget_ratio(state: _DualState, tol_d: float, tol_p: float) -> float:
     return max(abs(state.slack_d) / tol_d, abs(state.slack_p) / tol_p)
 
 
-def _log_step(nu1: float, nu2: float, state: _DualState, jac, D: float, P: float):
+def _solve_2x2(a00: float, a01: float, a11: float, b0: float, b1: float):
+    """Cramer's rule on ``[[a00, a01], [a01, a11]] y = (b0, b1)``, on Python floats.
+
+    None where the determinant is zero or not finite: a float division by
+    zero raises, and a singular system has no step.
+    """
+    det = a00 * a11 - a01 * a01
+    if not (det != 0.0 and math.isfinite(det)):
+        return None
+    return (a11 * b0 - a01 * b1) / det, (a00 * b1 - a01 * b0) / det
+
+
+def _log_step(nu1: float, nu2: float, state: _DualState, hess, D: float, P: float):
     """Newton step ``dt`` on ``F = (log(dist/D), log(perc/P))`` in ``t = log(nu)``.
 
     Distortion and perception behave close to power laws in each
     multiplier, so ``F`` is nearly linear in ``t`` where the slacks are
     strongly curved in ``nu``.  Its Jacobian is ``diag(1/dist, 1/perc) J
-    diag(nu)`` for the slack Jacobian ``J``; the 2 by 2 system is solved by
-    Cramer's rule on Python floats.  A step longer than ``_MAX_LOG_STEP``
-    in either coordinate is shortened along its direction to that length.
-    None where a budget sum is not positive, or the system is singular or
-    not finite.
+    diag(nu) = -diag(1/(nu*sums)) H`` for the relative Hessian ``H``, so
+    the step solves ``H dt = diag(nu*sums) F``.  A step longer than
+    ``_MAX_LOG_STEP`` in either coordinate is shortened along its direction
+    to that length.  None where a budget sum is not positive, or the
+    system is singular or not finite.
     """
     r0, r1 = state.slack_d / D, state.slack_p / P
     if not (r0 > -1.0 and r1 > -1.0):
         return None
-    dist, perc = D + state.slack_d, P + state.slack_p
-    (j00, j01), (j10, j11) = jac
-    m00, m01, m10, m11 = j00 * nu1 / dist, j01 * nu2 / dist, j10 * nu1 / perc, j11 * nu2 / perc
-    det = m00 * m11 - m01 * m10
-    if not (det != 0.0 and math.isfinite(det)):
+    dt = _solve_2x2(
+        *hess,
+        nu1 * (D + state.slack_d) * math.log1p(r0),
+        nu2 * (P + state.slack_p) * math.log1p(r1),
+    )
+    if dt is None or not (math.isfinite(dt[0]) and math.isfinite(dt[1])):
         return None
-    f0, f1 = math.log1p(r0), math.log1p(r1)
-    dt0, dt1 = (m01 * f1 - m11 * f0) / det, (m10 * f0 - m00 * f1) / det
-    if not (math.isfinite(dt0) and math.isfinite(dt1)):
-        return None
-    big = max(abs(dt0), abs(dt1))
-    if big > _MAX_LOG_STEP:
-        dt0, dt1 = dt0 * (_MAX_LOG_STEP / big), dt1 * (_MAX_LOG_STEP / big)
-    return dt0, dt1
+    shorten = max(abs(dt[0]), abs(dt[1]), _MAX_LOG_STEP) / _MAX_LOG_STEP
+    return dt[0] / shorten, dt[1] / shorten
 
 
 def _damped_step(
-    lam: np.ndarray, nu: np.ndarray, state: _DualState, jac,
+    lam: np.ndarray, nu: np.ndarray, state: _DualState, hess,
     metric: PerceptionMetric, D: float, P: float,
     tol_d: float, tol_p: float, mu: float,
 ):
     """One damped Newton step in relative coordinates; None if every damping fails.
 
     In relative coordinates ``y = delta/nu`` the step solves
-    ``(H + mu*I) y = b`` with ``b = nu*slacks`` and ``H = -diag(nu) J
-    diag(nu)`` for the exact slack Jacobian ``J`` (``H = 0`` where it is not
-    finite).  A step is accepted when each multiplier stays above a tenth
-    of itself and either the larger relative slack falls by a tenth or,
-    once damped, the dual value meets the Armijo condition on the gain
-    ``b @ y``; otherwise ``mu`` grows tenfold, from at least 1e-6 of the
-    larger of ``tr H`` and ``max |b|``.  Undamped steps must cut the
-    slacks: on the Armijo test alone, full Newton steps can walk a search
-    toward ``nu = 0``.  The 2 by 2 algebra runs on Python floats, by
-    Cramer's rule; a singular system (``det = 0``) has no step and is
-    damped further.  Returns the new multipliers, their evaluation and the
-    ``mu`` that was accepted.
+    ``(H + mu*I) y = b`` with ``b = nu*slacks`` for the relative Hessian
+    ``H`` (``H = 0`` where it is not finite).  A step is accepted when each
+    multiplier stays above a tenth of itself and either the larger relative
+    slack falls by a tenth or, once damped, the dual value meets the Armijo
+    condition on the gain ``b @ y``; otherwise ``mu`` grows tenfold, from
+    at least 1e-6 of the larger of ``tr H`` and ``max |b|``.  Undamped
+    steps must cut the slacks: on the Armijo test alone, full Newton steps
+    can walk a search toward ``nu = 0``.  A singular system has no step and
+    is damped further.  Returns the new multipliers, their evaluation and
+    the ``mu`` that was accepted.
     """
     nu1, nu2 = nu.tolist()
     b0, b1 = nu1 * state.slack_d, nu2 * state.slack_p
-    (j00, j01), (j10, j11) = jac
-    h00, h01, h10, h11 = -nu1 * j00 * nu1, -nu1 * j01 * nu2, -nu2 * j10 * nu1, -nu2 * j11 * nu2
-    if not all(map(math.isfinite, (h00, h01, h10, h11))):
-        h00 = h01 = h11 = 0.0
+    h00, h01, h11 = hess if all(map(math.isfinite, hess)) else (0.0, 0.0, 0.0)
     mu_floor = 1e-6 * max(h00 + h11, abs(b0), abs(b1))
     phi = _budget_ratio(state, tol_d, tol_p)
     for _ in range(_MAX_DAMPINGS):
-        a00, a11 = h00 + mu, h11 + mu
-        det = a00 * a11 - h01 * h01
-        # dividing a float by zero raises; a singular system has no step
-        if det != 0.0:
-            y0 = (a11 * b0 - h01 * b1) / det
-            y1 = (a00 * b1 - h01 * b0) / det
-            if -0.9 < y0 < math.inf and -0.9 < y1 < math.inf:
-                cand = np.array([nu1 * (1.0 + y0), nu2 * (1.0 + y1)])
-                st = _evaluate_dual(lam, cand[0], cand[1], metric, D, P)
-                if _budget_ratio(st, tol_d, tol_p) < 0.9 * phi or (
-                    mu > 0.0 and st.value >= state.value + _ARMIJO_C * (b0 * y0 + b1 * y1)
-                ):
-                    return cand, st, mu
+        y = _solve_2x2(h00 + mu, h01, h11 + mu, b0, b1)
+        if y is not None and -0.9 < y[0] < math.inf and -0.9 < y[1] < math.inf:
+            cand = np.array([nu1 * (1.0 + y[0]), nu2 * (1.0 + y[1])])
+            st = _evaluate_dual(lam, cand[0], cand[1], metric, D, P)
+            if _budget_ratio(st, tol_d, tol_p) < 0.9 * phi or (
+                mu > 0.0 and st.value >= state.value + _ARMIJO_C * (b0 * y[0] + b1 * y[1])
+            ):
+                return cand, st, mu
         mu = max(10.0 * mu, mu_floor)
     return None
-
-
-def _jacobian_floats(lam: np.ndarray, nu: np.ndarray, state: _DualState, metric: PerceptionMetric):
-    # entries may be inf or nan where an allocation degenerates; the steps
-    # test for that on Python floats
-    with np.errstate(all="ignore"):
-        return _slack_jacobian(lam, nu[0], nu[1], state, metric).tolist()
 
 
 def _try_newton(
@@ -270,22 +282,22 @@ def _try_newton(
 ):
     """One Newton iteration on the dual; None if every damping fails.
 
-    The exact slack Jacobian comes at no extra dual evaluation.  First one
+    The relative Hessian comes at no extra dual evaluation.  First one
     undamped :func:`_log_step` is tried, and kept if the larger relative
     slack falls by a tenth; otherwise the iteration falls back to
     :func:`_damped_step`, whose damping starts at ``mu``.  Returns the new
     multipliers, their evaluation and the ``mu`` to carry into the next
     iteration (``mu`` itself after a log step).
     """
-    jac = _jacobian_floats(lam, nu, state, metric)
     nu1, nu2 = nu.tolist()
-    dt = _log_step(nu1, nu2, state, jac, D, P)
+    hess = _relative_hessian(lam, nu1, nu2, state, metric)
+    dt = _log_step(nu1, nu2, state, hess, D, P)
     if dt is not None:
         cand = np.array([nu1 * math.exp(dt[0]), nu2 * math.exp(dt[1])])
         st = _evaluate_dual(lam, cand[0], cand[1], metric, D, P)
         if _budget_ratio(st, tol_d, tol_p) < 0.9 * _budget_ratio(state, tol_d, tol_p):
             return cand, st, mu
-    return _damped_step(lam, nu, state, jac, metric, D, P, tol_d, tol_p, mu)
+    return _damped_step(lam, nu, state, hess, metric, D, P, tol_d, tol_p, mu)
 
 
 def _search_error(cls, message: str, iterations: int, nu: np.ndarray, state: _DualState):
@@ -310,21 +322,29 @@ def _perception_noise(lam: np.ndarray, hats: np.ndarray, metric: PerceptionMetri
 
 
 def _budgets_met(
-    lam: np.ndarray, state: _DualState, metric: PerceptionMetric, tol_d: float, tol_p: float
+    lam: np.ndarray, nu: np.ndarray, state: _DualState, metric: PerceptionMetric,
+    tol_d: float, tol_p: float, iteration: int,
 ) -> bool:
     """Both slacks within tolerance.
 
     Where the perception sum's own rounding error exceeds ``tol_p`` no
     multiplier pair may meet ``tol_p``, so the perception slack is held to
-    that error instead, up to ``_NOISY_BUDGET_RTOL`` of the budget.
+    that error instead.  Where that error also exceeds
+    ``_NOISY_BUDGET_RTOL`` of the budget, a slack within it cannot show
+    the budget met to that fraction: a search that reaches such a point
+    raises ``ConvergenceError`` rather than return a possible budget miss.
     """
     if not abs(state.slack_d) <= tol_d:
         return False
-    slack = abs(state.slack_p)
-    if slack <= tol_p:
-        return True
-    noisy_tol = tol_p * (_NOISY_BUDGET_RTOL / _BUDGET_RTOL)
-    return slack <= min(_perception_noise(lam, state.hats, metric), noisy_tol)
+    noise = _perception_noise(lam, state.hats, metric)
+    if not abs(state.slack_p) <= max(tol_p, noise):
+        return False
+    if noise > tol_p * (_NOISY_BUDGET_RTOL / _BUDGET_RTOL):
+        raise _search_error(
+            ConvergenceError, "the perception sum's rounding error exceeds the budget's tolerance",
+            iteration, nu, state,
+        )
+    return True
 
 
 def _dual_search(
@@ -342,7 +362,7 @@ def _dual_search(
     mu = 0.0
     polishing = False
     for iteration in range(_MAX_DUAL_ITERATIONS):
-        met = _budgets_met(lam, state, metric, tol_d, tol_p)
+        met = _budgets_met(lam, nu, state, metric, tol_d, tol_p, iteration)
         if met:
             # by the envelope identities the rate is off by about
             # nu1*slack_d + nu2*slack_p, which near zero rate can exceed
@@ -365,7 +385,7 @@ def _dual_search(
         nu, state, mu = newton
         mu *= 0.1
     else:
-        if not _budgets_met(lam, state, metric, tol_d, tol_p):
+        if not _budgets_met(lam, nu, state, metric, tol_d, tol_p, _MAX_DUAL_ITERATIONS):
             raise _search_error(
                 ConvergenceError, "dual search exhausted its iteration budget",
                 _MAX_DUAL_ITERATIONS, nu, state,

@@ -528,18 +528,49 @@ def test_tiny_perception_budgets_are_met_to_their_rounding_error(query):
 
 @pytest.mark.parametrize(
     "spectrum,metric,p",
-    [(2, PerceptionMetric.KL, 1e-21), (9, PerceptionMetric.W2, 10**-23.5)],
-    ids=["kl-s2-1e-21", "w2-s9-1e-23.5"],
+    [
+        (2, PerceptionMetric.KL, 1e-21),
+        (9, PerceptionMetric.W2, 10**-23.5),
+        (2, PerceptionMetric.KL, 1e-22),
+        (9, PerceptionMetric.W2, 1e-20),
+    ],
+    ids=["kl-s2-1e-21", "w2-s9-1e-23.5", "kl-s2-1e-22", "w2-s9-1e-20"],
 )
 def test_budgets_below_their_rounding_error_raise(spectrum, metric, p):
     # here the perception sum's rounding error exceeds 1e-6 of P, so no
     # point can be shown to meet the budget: the search raises, where
-    # stopping within that error returned a budget miss
+    # stopping within that error returned a budget miss. The last two once
+    # returned, landing within 1e-6 of P by luck: the true perception of
+    # the first exceeded P by 1.13e-5 of P
     lam = np.array(TINY_BUDGET_SPECTRA[spectrum])
     tr = float(lam.sum())
     P = p * tr if metric is PerceptionMetric.W2 else p
     with pytest.raises(ConvergenceError):
         solver.solve(SourceSpectrum(lam), TradeoffQuery(0.3 * tr, P, metric))
+
+
+@pytest.mark.parametrize(
+    "metric,budget",
+    [
+        (PerceptionMetric.KL, lambda c: 0.05),
+        (PerceptionMetric.W2, lambda c: 0.3 * c),
+        (PerceptionMetric.W2, lambda c: 0.0),
+        (PerceptionMetric.UNCONSTRAINED, lambda c: math.inf),
+    ],
+    ids=["kl", "w2", "p0", "none"],
+)
+def test_solve_is_free_of_units_over_the_whole_double_range(metric, budget):
+    # lambda = c*(3, 2, 1), D = 2c: the KL search once formed nu1^2, which
+    # overflows beyond c of about 1e-153, and raised at 148 of these scales
+    def rate(c):
+        q = TradeoffQuery(2.0 * c, budget(c), metric)
+        return solver.solve(SourceSpectrum(c * np.array([3.0, 2.0, 1.0])), q).total_rate
+
+    ref = rate(1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        off = {k: rate(10.0**k) / ref - 1.0 for k in range(-300, 301, 2)}
+    assert {k: d for k, d in off.items() if not abs(d) <= 1e-12} == {}
 
 
 def test_a_search_that_stops_moving_raises_at_once():
@@ -644,10 +675,11 @@ def test_solution_residuals_reproduce_the_certificate(path):
         assert solution_residuals(s, rd, metric, D, P).max_abs() == rd.kkt_residual
 
 
-def slack_jacobian_at(lam, nu1, nu2, metric):
+def relative_hessian_at(lam, nu1, nu2, metric):
     lam = np.asarray(lam, dtype=float)
     state = solver._evaluate_dual(lam, nu1, nu2, metric, 0.0, 0.0)
-    return solver._slack_jacobian(lam, nu1, nu2, state, metric), state
+    h00, h01, h11 = solver._relative_hessian(lam, nu1, nu2, state, metric)
+    return np.array([[h00, h01], [h01, h11]]), state
 
 
 def central_slack_jacobian(lam, nu1, nu2, metric, rel):
@@ -678,15 +710,17 @@ HESSIAN_DUALS = [
 
 @pytest.mark.parametrize("metric", [PerceptionMetric.KL, PerceptionMetric.W2], ids=["kl", "w2"])
 def test_slack_jacobian_matches_central_differences(metric):
+    # the slack Jacobian in relative coordinates, H = -diag(nu) J diag(nu)
     lam = np.geomspace(1e-3, 1.0, 4)
     worst = 0.0
     for nu1, nu2 in HESSIAN_DUALS:
-        jac, _ = slack_jacobian_at(lam, nu1, nu2, metric)
-        fd = central_slack_jacobian(lam, nu1, nu2, metric, 1e-4)
-        # entries relative to sqrt(|J_ii J_jj|), which bounds the off-diagonal
-        # of a definite matrix and keeps a near-zero entry meaningful
-        diag = np.abs(np.diag(jac))
-        worst = max(worst, float(np.max(np.abs(jac - fd) / np.sqrt(np.outer(diag, diag)))))
+        hess, _ = relative_hessian_at(lam, nu1, nu2, metric)
+        fd = -np.outer([nu1, nu2], [nu1, nu2]) * central_slack_jacobian(lam, nu1, nu2, metric, 1e-4)
+        # entries relative to sqrt(|H_ii H_jj|), which bounds the off-diagonal
+        # of a definite matrix, keeps a near-zero entry meaningful and is
+        # the same for J as for H
+        diag = np.abs(np.diag(hess))
+        worst = max(worst, float(np.max(np.abs(hess - fd) / np.sqrt(np.outer(diag, diag)))))
     assert worst <= 1e-6
 
 
@@ -695,26 +729,26 @@ def step_query(lam, nu1, nu2, metric):
     target = solver._evaluate_dual(lam, 1.3 * nu1, 0.7 * nu2, metric, 0.0, 0.0)
     D, P = target.slack_d, target.slack_p
     state = solver._evaluate_dual(lam, nu1, nu2, metric, D, P)
-    jac = solver._slack_jacobian(lam, nu1, nu2, state, metric)
-    return D, P, state, jac
+    hess = solver._relative_hessian(lam, nu1, nu2, state, metric)
+    return D, P, state, hess
 
 
 @pytest.mark.parametrize("metric", [PerceptionMetric.KL, PerceptionMetric.W2], ids=["kl", "w2"])
 def test_damped_step_matches_a_dense_solve(metric):
     # the accepted candidate must be nu*(1 + y) for y = (H + mu I)^-1 b with
-    # H = -diag(nu) J diag(nu) and b = nu*slacks
+    # the relative Hessian H and b = nu*slacks
     lam = np.geomspace(1e-3, 1.0, 4)
     worst = 0.0
     for nu1, nu2 in HESSIAN_DUALS:
-        D, P, state, jac = step_query(lam, nu1, nu2, metric)
+        D, P, state, (h00, h01, h11) = step_query(lam, nu1, nu2, metric)
         nu = np.array([nu1, nu2])
         for mu in (0.0, 1e-2):
             step = solver._damped_step(
-                lam, nu, state, jac.tolist(), metric, D, P, 1e-9 * D, 1e-9 * P, mu
+                lam, nu, state, (h00, h01, h11), metric, D, P, 1e-9 * D, 1e-9 * P, mu
             )
             assert step is not None
             cand, _, mu_accepted = step
-            hess = -nu[:, None] * jac * nu
+            hess = np.array([[h00, h01], [h01, h11]])
             b = nu * np.array([state.slack_d, state.slack_p])
             y = np.linalg.solve(hess + mu_accepted * np.eye(2), b)
             worst = max(worst, float(np.max(np.abs(cand - nu * (1.0 + y)) / cand)))
@@ -723,15 +757,16 @@ def test_damped_step_matches_a_dense_solve(metric):
 
 @pytest.mark.parametrize("metric", [PerceptionMetric.KL, PerceptionMetric.W2], ids=["kl", "w2"])
 def test_log_step_matches_a_dense_solve(metric):
-    # dt solves diag(1/dist, 1/perc) J diag(nu) dt = -(log(dist/D), log(perc/P))
+    # dt solves diag(1/dist, 1/perc) J diag(nu) dt = -(log(dist/D), log(perc/P)),
+    # where diag(1/dist, 1/perc) J diag(nu) = -diag(1/(nu*sums)) H
     lam = np.geomspace(1e-3, 1.0, 4)
     worst = 0.0
     for nu1, nu2 in HESSIAN_DUALS:
-        D, P, state, jac = step_query(lam, nu1, nu2, metric)
-        dt = solver._log_step(nu1, nu2, state, jac.tolist(), D, P)
+        D, P, state, (h00, h01, h11) = step_query(lam, nu1, nu2, metric)
+        dt = solver._log_step(nu1, nu2, state, (h00, h01, h11), D, P)
         assert dt is not None
         sums = np.array([D + state.slack_d, P + state.slack_p])
-        jac_log = jac / sums[:, None] * np.array([nu1, nu2])
+        jac_log = -np.array([[h00, h01], [h01, h11]]) / (np.array([nu1, nu2]) * sums)[:, None]
         ref = np.linalg.solve(jac_log, -np.log(sums / np.array([D, P])))
         # within the step cap, so the step is the Newton step itself
         assert np.max(np.abs(ref)) < solver._MAX_LOG_STEP
@@ -773,8 +808,9 @@ def mp_budget_sums(lam, nu1, nu2, metric, gammas):
 
 @pytest.mark.parametrize("metric", [PerceptionMetric.KL, PerceptionMetric.W2], ids=["kl", "w2"])
 def test_slack_jacobian_matches_mpmath(metric):
+    # entry by entry, relative: the same bound for J as for H
     lam, nu1, nu2 = (0.05, 0.4, 2.0), 3.0, 0.5
-    jac, state = slack_jacobian_at(lam, nu1, nu2, metric)
+    hess, state = relative_hessian_at(lam, nu1, nu2, metric)
     with mpmath.workdps(60):
         nu = [mpmath.mpf(nu1), mpmath.mpf(nu2)]
         ref = np.empty((2, 2))
@@ -785,8 +821,8 @@ def test_slack_jacobian_matches_mpmath(metric):
             down[j] -= h
             a = mp_budget_sums(lam, up[0], up[1], metric, state.gammas)
             b = mp_budget_sums(lam, down[0], down[1], metric, state.gammas)
-            ref[:, j] = [float((a[i] - b[i]) / (2 * h)) for i in range(2)]
-    assert np.max(np.abs(jac - ref) / np.abs(ref)) <= 1e-12
+            ref[:, j] = [float(-nu[i] * (a[i] - b[i]) / (2 * h) * nu[j]) for i in range(2)]
+    assert np.max(np.abs(hess - ref) / np.abs(ref)) <= 1e-12
 
 
 def assert_damped_step(lam, nu, state, metric):
@@ -801,19 +837,31 @@ def assert_damped_step(lam, nu, state, metric):
 
 
 def test_slack_jacobian_on_the_kl_zero_rate_boundary():
-    # multipliers this small underflow every KL gap, so the dual is evaluated
-    # on the zero-rate boundary (gaps 0): gamma is pinned and only lambda_hat
-    # responds, -sum [1, p'; p', p'^2]/(nu2 p'')
+    # on the zero-rate boundary (gaps 0) gamma is pinned and only lambda_hat
+    # responds: in units of each variance, with k = nu1*lam, w = nu2 and
+    # h = lambda_hat/lam, H = sum [k^2, k*w*p'; k*w*p', w^2*p'^2]/(w*p'').
+    # Multipliers small enough to reach the boundary by underflow leave H
+    # below the double range, so the boundary state is set by hand here as
+    # _evaluate_dual sets it
     lam = np.array([1e-3, 0.5, 2.0])
+    nu1, nu2 = 0.3, 2.0
+    state = solver._evaluate_dual(lam, nu1, nu2, PerceptionMetric.KL, 0.0, 0.0)
+    state.gammas[:] = lam
+    state.gaps[:] = 0.0
+    state.hats[:] = lam * nu2 / (nu2 + 2.0 * nu1 * lam)
+    h00, h01, h11 = solver._relative_hessian(lam, nu1, nu2, state, PerceptionMetric.KL)
+    k, h = nu1 * lam, state.hats / lam
+    dp = 0.5 * (1.0 - 1.0 / h)
+    c = nu2 * 0.5 / h**2
+    expected = [np.sum(k * k / c), np.sum(k * nu2 * dp / c), np.sum(nu2 * nu2 * dp * dp / c)]
+    assert np.all(np.array(expected) != 0.0)
+    assert np.allclose([h00, h01, h11], expected, rtol=1e-14, atol=0.0)
+    # multipliers this small underflow every KL gap, so the dual is
+    # evaluated on the zero-rate boundary; p' = 0 there makes the undamped
+    # system singular: a damped step is taken
     nu1, nu2 = 1e-170, 1.0
-    jac, state = slack_jacobian_at(lam, nu1, nu2, PerceptionMetric.KL)
-    assert np.all(state.gaps == 0.0)
-    dp = 0.5 * (1.0 / lam - 1.0 / state.hats)
-    c = nu2 * 0.5 / state.hats**2
-    expected = -np.array([[np.sum(1.0 / c), np.sum(dp / c)], [np.sum(dp / c), np.sum(dp * dp / c)]])
-    assert np.allclose(jac, expected, rtol=1e-14, atol=0.0)
-    # p' = 0 there makes the undamped system singular: a damped step is taken
     state = solver._evaluate_dual(lam, nu1, nu2, PerceptionMetric.KL, 1.0, 0.1)
+    assert np.all(state.gaps == 0.0)
     assert_damped_step(lam, np.array([nu1, nu2]), state, PerceptionMetric.KL)
 
 
@@ -822,7 +870,7 @@ def test_damped_step_on_a_nonfinite_jacobian():
     nu = np.array([1.0, 1.0])
     state = solver._evaluate_dual(lam, nu[0], nu[1], PerceptionMetric.W2, 1.0, 0.1)
     state.hats[0] = 0.0
-    with np.errstate(all="ignore"):
-        assert not np.all(np.isfinite(solver._slack_jacobian(lam, nu[0], nu[1], state, PerceptionMetric.W2)))
+    hess = solver._relative_hessian(lam, nu[0], nu[1], state, PerceptionMetric.W2)
+    assert not all(map(math.isfinite, hess))
     # the step falls back to H = 0: a damped gradient step in relative units
     assert_damped_step(lam, nu, state, PerceptionMetric.W2)
