@@ -127,16 +127,19 @@ def waterfill_solution(
     recovers from the rate, the same float, so that its residual
     ``nu1*lambda_hat*(1 - sqrt(gap/lambda_hat))`` does not multiply the
     rounding of the two forms by ``nu1*lambda_hat``, up to ``L*lam/(2D)``.
+    At ``D`` at or beyond the total variance every component is at zero
+    rate, and the answer is tagged ``DistortionInactive`` as every zero-rate
+    point is.
     """
     lam = s.lambdas
     gaps = lam - w.per_component
     hats = rate_gaps(lam, rate_terms(lam, w.per_component, gaps))
     # slack distortion constraint (D beyond total variance) forces nu1 = 0
-    nu1 = 0.0 if D >= s.total_variance else 1.0 / (2.0 * w.nu)
-    return assemble(
-        lam, w.per_component, gaps, hats, nu1, 0.0, metric, D, P,
-        SolutionCase.DISTORTION_ONLY,
-    )
+    if D >= s.total_variance:
+        nu1, case = 0.0, SolutionCase.DISTORTION_INACTIVE
+    else:
+        nu1, case = 1.0 / (2.0 * w.nu), SolutionCase.DISTORTION_ONLY
+    return assemble(lam, w.per_component, gaps, hats, nu1, 0.0, metric, D, P, case)
 
 
 def reverse_waterfill(s: SourceSpectrum, D: float) -> RdpSolution:

@@ -18,15 +18,21 @@ A query (D, P, metric) lands in one of three regimes, checked in order:
    diag(nu)`` for the slack Jacobian ``J``, a sum of per-component terms
    in units of each variance, so of order one at any scale of the source.
    Distortion and perception behave close to power laws in each
-   multiplier, so each iteration first tries one Newton step on
-   ``F = (log(dist/D), log(perc/P))`` in ``log(nu)``, which solves
+   multiplier, so each iteration tries candidate multipliers in one fixed
+   order and keeps the first that passes one test.  First comes the Newton
+   step on ``F = (log(dist/D), log(perc/P))`` in ``log(nu)``, which solves
    ``H dt = diag(nu*sums) F``, shortened to move no multiplier by more
-   than a factor e^8, and kept if the larger relative slack falls by a
-   tenth.  Otherwise it takes a Newton step on the concave dual in the
-   relative coordinates ``y = delta/nu``, ``(H + mu*I) y = nu*slacks``,
-   damped Levenberg-Marquardt style where it is refused: the multiple
-   ``mu`` of the identity turns the step toward the gradient and shortens
-   it, and the damping eases again after each accepted step.  Both 2 by 2
+   than a factor e^8, at fractions t = 1, 1/2 and 1/4 of itself.  Then come
+   Newton steps on the concave dual in the relative coordinates
+   ``y = delta/nu``, ``(H + mu*I) y = nu*slacks``, damped Levenberg-Marquardt
+   style: ``mu`` starts afresh at each iteration near zero and grows
+   tenfold, turning the step toward the gradient and shortening it.  A
+   candidate passes where the larger relative slack falls below
+   ``1 - 1e-4*t`` of itself (t = 1 for a damped step), or, for a damped
+   step only, where the dual value rises by 1e-4 of the step's first-order
+   gain.  A log step may not pass on the dual value: near the kink at
+   ``nu1 = 1/(2*lambda)``, where a component's gap vanishes, it can raise
+   the value while it crosses the kink away from the root.  Both 2 by 2
    systems are solved by one Cramer's rule on Python floats.  The search
    stops once both budgets hold to 1e-9 of
    themselves and the envelope estimate ``|nu1*slack_d + nu2*slack_p|`` of
@@ -37,8 +43,8 @@ A query (D, P, metric) lands in one of three regimes, checked in order:
    budgets, ``lambda_hat/lam`` within about 1e-6 of one), P is held to
    that error instead.  Where that error exceeds 1e-6 of P no point can
    show the budget met, and a search that lands within it raises
-   ``ConvergenceError``.  A step that leaves the multipliers unchanged
-   ends the search with ``LineSearchError``.
+   ``ConvergenceError``.  An iteration where no candidate passes ends the
+   search with ``LineSearchError``.
 
 A perception budget of exactly zero pins every reconstruction variance to
 its source variance, sending nu2 to infinity; that regime is handled by a
@@ -96,8 +102,8 @@ _MAX_DUAL_ITERATIONS = 500
 _ARMIJO_C = 1e-4
 _MAX_DAMPINGS = 60
 # far from the root, where the budget sums are not yet power laws in nu, a
-# log step can ask for factors like e^342 that still cut the slacks by a
-# tenth; steps are shortened to change no multiplier by more than e^8
+# log step can ask for factors like e^342 that still cut the slacks; steps
+# are shortened to change no multiplier by more than e^8
 _MAX_LOG_STEP = 8.0
 # a met search takes one more step where the rate's first-order error
 # exceeds this fraction of the rate
@@ -238,66 +244,63 @@ def _log_step(nu1: float, nu2: float, state: _DualState, hess, D: float, P: floa
     return dt[0] / shorten, dt[1] / shorten
 
 
-def _damped_step(
-    lam: np.ndarray, nu: np.ndarray, state: _DualState, hess,
-    metric: PerceptionMetric, D: float, P: float,
-    tol_d: float, tol_p: float, mu: float,
-):
-    """One damped Newton step in relative coordinates; None if every damping fails.
+def _candidates(nu1: float, nu2: float, state: _DualState, hess, D: float, P: float):
+    """Trial multipliers in the order tried, each with its step fraction ``t``
+    and whether it may pass on the dual's Armijo test.
 
-    In relative coordinates ``y = delta/nu`` the step solves
-    ``(H + mu*I) y = b`` with ``b = nu*slacks`` for the relative Hessian
-    ``H`` (``H = 0`` where it is not finite).  A step is accepted when each
-    multiplier stays above a tenth of itself and either the larger relative
-    slack falls by a tenth or, once damped, the dual value meets the Armijo
-    condition on the gain ``b @ y``; otherwise ``mu`` grows tenfold, from
-    at least 1e-6 of the larger of ``tr H`` and ``max |b|``.  Undamped
-    steps must cut the slacks: on the Armijo test alone, full Newton steps
-    can walk a search toward ``nu = 0``.  A singular system has no step and
-    is damped further.  Returns the new multipliers, their evaluation and
-    the ``mu`` that was accepted.
+    First the :func:`_log_step` at fractions 1, 1/2 and 1/4 of itself.  Then
+    damped Newton steps on the concave dual in the relative coordinates
+    ``y = delta/nu``, ``(H + mu*I) y = b`` with ``b = nu*slacks`` for the
+    relative Hessian ``H`` (``H = 0`` where it is not finite): the multiple
+    ``mu`` of the identity turns the step toward the gradient and shortens
+    it.  ``mu`` starts at 1e-6 of the larger of ``tr H`` and ``max |b|`` and
+    grows tenfold, up to ``_MAX_DAMPINGS`` tries; a singular system, or a
+    step that takes a multiplier below a tenth of itself, is skipped.
     """
-    nu1, nu2 = nu.tolist()
+    dt = _log_step(nu1, nu2, state, hess, D, P)
+    if dt is not None:
+        for t in (1.0, 0.5, 0.25):
+            yield (nu1 * math.exp(t * dt[0]), nu2 * math.exp(t * dt[1])), t, False
     b0, b1 = nu1 * state.slack_d, nu2 * state.slack_p
     h00, h01, h11 = hess if all(map(math.isfinite, hess)) else (0.0, 0.0, 0.0)
-    mu_floor = 1e-6 * max(h00 + h11, abs(b0), abs(b1))
-    phi = _budget_ratio(state, tol_d, tol_p)
+    mu = 1e-6 * max(h00 + h11, abs(b0), abs(b1))
     for _ in range(_MAX_DAMPINGS):
         y = _solve_2x2(h00 + mu, h01, h11 + mu, b0, b1)
         if y is not None and -0.9 < y[0] < math.inf and -0.9 < y[1] < math.inf:
-            cand = np.array([nu1 * (1.0 + y[0]), nu2 * (1.0 + y[1])])
-            st = _evaluate_dual(lam, cand[0], cand[1], metric, D, P)
-            if _budget_ratio(st, tol_d, tol_p) < 0.9 * phi or (
-                mu > 0.0 and st.value >= state.value + _ARMIJO_C * (b0 * y[0] + b1 * y[1])
-            ):
-                return cand, st, mu
-        mu = max(10.0 * mu, mu_floor)
-    return None
+            yield (nu1 * (1.0 + y[0]), nu2 * (1.0 + y[1])), 1.0, True
+        mu *= 10.0
 
 
 def _try_newton(
     lam: np.ndarray, nu: np.ndarray, state: _DualState,
-    metric: PerceptionMetric, D: float, P: float,
-    tol_d: float, tol_p: float, mu: float,
+    metric: PerceptionMetric, D: float, P: float, tol_d: float, tol_p: float,
 ):
-    """One Newton iteration on the dual; None if every damping fails.
+    """One Newton iteration on the dual; None if no candidate passes.
 
-    The relative Hessian comes at no extra dual evaluation.  First one
-    undamped :func:`_log_step` is tried, and kept if the larger relative
-    slack falls by a tenth; otherwise the iteration falls back to
-    :func:`_damped_step`, whose damping starts at ``mu``.  Returns the new
-    multipliers, their evaluation and the ``mu`` to carry into the next
-    iteration (``mu`` itself after a log step).
+    The relative Hessian comes at no extra dual evaluation.  The
+    :func:`_candidates` are evaluated in order, and the first whose larger
+    relative slack falls below ``1 - _ARMIJO_C*t`` of the current one is
+    kept.  A damped step may also pass where its gain
+    ``slack_d*delta_1 + slack_p*delta_2`` is positive and the dual value
+    rises by ``_ARMIJO_C`` of that gain.  Log steps may not pass on that
+    test: near a kink of the dual, such as ``nu1 = 1/(2*lambda)`` where a
+    component's gap vanishes, a log step can raise the dual value while it
+    crosses the kink away from the root.  Nothing is carried from one
+    iteration to the next.  Returns the new multipliers and their
+    evaluation.
     """
     nu1, nu2 = nu.tolist()
     hess = _relative_hessian(lam, nu1, nu2, state, metric)
-    dt = _log_step(nu1, nu2, state, hess, D, P)
-    if dt is not None:
-        cand = np.array([nu1 * math.exp(dt[0]), nu2 * math.exp(dt[1])])
+    phi = _budget_ratio(state, tol_d, tol_p)
+    for cand, t, armijo in _candidates(nu1, nu2, state, hess, D, P):
         st = _evaluate_dual(lam, cand[0], cand[1], metric, D, P)
-        if _budget_ratio(st, tol_d, tol_p) < 0.9 * _budget_ratio(state, tol_d, tol_p):
-            return cand, st, mu
-    return _damped_step(lam, nu, state, hess, metric, D, P, tol_d, tol_p, mu)
+        # an unchanged nu gains exactly nothing, so it never passes
+        gain = state.slack_d * (cand[0] - nu1) + state.slack_p * (cand[1] - nu2)
+        if _budget_ratio(st, tol_d, tol_p) < (1.0 - _ARMIJO_C * t) * phi or (
+            armijo and gain > 0.0 and st.value >= state.value + _ARMIJO_C * gain
+        ):
+            return np.array(cand), st
+    return None
 
 
 def _search_error(cls, message: str, iterations: int, nu: np.ndarray, state: _DualState):
@@ -359,7 +362,6 @@ def _dual_search(
     nu2 = lam.size / (2.0 * D) if metric is PerceptionMetric.W2 else 1.0
     nu = np.array([0.5 / level, nu2])
     state = _evaluate_dual(lam, nu[0], nu[1], metric, D, P)
-    mu = 0.0
     polishing = False
     for iteration in range(_MAX_DUAL_ITERATIONS):
         met = _budgets_met(lam, nu, state, metric, tol_d, tol_p, iteration)
@@ -371,10 +373,8 @@ def _dual_search(
             envelope = float(nu[0] * state.slack_d + nu[1] * state.slack_p)
             if polishing or abs(envelope) <= _POLISH_RTOL * (state.value - envelope):
                 break
-        newton = _try_newton(lam, nu, state, metric, D, P, tol_d, tol_p, mu)
-        # a step that leaves nu as it was would only be repeated from the
-        # same state
-        if newton is None or np.array_equal(newton[0], nu):
+        newton = _try_newton(lam, nu, state, metric, D, P, tol_d, tol_p)
+        if newton is None:
             if met:
                 break
             raise _search_error(
@@ -382,8 +382,7 @@ def _dual_search(
                 iteration, nu, state,
             )
         polishing = met
-        nu, state, mu = newton
-        mu *= 0.1
+        nu, state = newton
     else:
         if not _budgets_met(lam, nu, state, metric, tol_d, tol_p, _MAX_DUAL_ITERATIONS):
             raise _search_error(

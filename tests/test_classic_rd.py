@@ -12,7 +12,8 @@ from gaussian_rdp.classic_rd import (
     water_level,
 )
 from gaussian_rdp.errors import DomainError, NonPositiveDistortionError
-from gaussian_rdp.model import SolutionCase, SourceSpectrum
+from gaussian_rdp.model import PerceptionMetric, SolutionCase, SourceSpectrum, TradeoffQuery
+from gaussian_rdp.solver import solve
 
 
 def spectrum(*lams):
@@ -91,6 +92,19 @@ def test_rate_zero_at_and_beyond_total_variance():
         assert np.array_equal(sol.gammas, s.lambdas)
         assert sol.dual.nu1 == 0.0
         assert sol.achieved_distortion == 15.0
+        assert sol.case_tag is SolutionCase.DISTORTION_INACTIVE
+
+
+def test_reverse_waterfill_equals_unconstrained_solve():
+    # at D >= tr the answer is the zero-rate point, tagged DistortionInactive
+    # by solve; reverse_waterfill once tagged it DistortionOnly
+    rng = np.random.default_rng(11)
+    for _ in range(50):
+        s = SourceSpectrum(np.exp(rng.uniform(-3.0, 3.0, int(rng.integers(1, 9)))))
+        tr = s.total_variance
+        for d in [tr * (k / 20.0) for k in range(1, 41)] + [float(np.nextafter(tr, 0.0))]:
+            q = TradeoffQuery(d, math.inf, PerceptionMetric.UNCONSTRAINED)
+            assert reverse_waterfill(s, d) == solve(s, q), (s.lambdas, d)
 
 
 def test_dual_value_matches_interior_level():

@@ -417,16 +417,18 @@ WIDE_QUERIES["s17q141-normalized"] = normalized(_RECIPES[17][141])
 # large KL budgets, where lambda_hat/lam falls far below one on a small
 # component and nu2 falls like exp(-2P) or faster: the KL term once lost
 # that ratio's digits, and steps in nu rather than log(nu) crawled through
-# the iteration budget from P = 8 (3, 2, 1), 13 (spread) and 14 (two). Still
-# raising: two and spread at P = 100, and (3, 2, 1) from P = 10
+# the iteration budget from P = 8 (3, 2, 1), 13 (spread) and 14 (two). Log
+# steps kept only where they cut the slacks by a tenth, with no shorter log
+# step before the damped fallback, still failed at P = 100 (two, spread)
+# and from P = 10 on (3, 2, 1). Still raising: (3, 2, 1) at P = 100
 _LARGE_KL_BUDGETS = (8.0, 10.0, 12.0, 13.0, 14.0, 16.0, 20.0, 30.0, 40.0)
 WIDE_QUERIES.update(
     {
         f"kl-{name}-P{P:g}": (np.array(lam), D, P, PerceptionMetric.KL)
         for name, lam, D, budgets in (
-            ("two", [0.01, 1.0], 0.5, _LARGE_KL_BUDGETS),
-            ("spread", [1e-6, 1.0, 1e6, 3.0], 1.0, _LARGE_KL_BUDGETS),
-            ("321", [3.0, 2.0, 1.0], 3.0, (8.0,)),
+            ("two", [0.01, 1.0], 0.5, _LARGE_KL_BUDGETS + (100.0,)),
+            ("spread", [1e-6, 1.0, 1e6, 3.0], 1.0, _LARGE_KL_BUDGETS + (100.0,)),
+            ("321", [3.0, 2.0, 1.0], 3.0, _LARGE_KL_BUDGETS),
         )
         for P in budgets
     }
@@ -574,12 +576,13 @@ def test_solve_is_free_of_units_over_the_whole_double_range(metric, budget):
 
 
 def test_a_search_that_stops_moving_raises_at_once():
-    # (3, 2, 1), D = 3, KL P = 10: the root sits within about 1e-9 of
-    # nu1 = 1/(2*lambda_3), where the third component's gap vanishes; the
-    # damped step is accepted there with nu unchanged, and the search once
-    # repeated it to the end of its iteration budget
+    # (3, 2, 1), D = 3, KL P = 100: the root sits at nu1 = 1/(2*lambda_3),
+    # where the third component's gap vanishes, and the search lands on
+    # nu1 = 0.5 exactly with nu2 near 1e-164; no candidate step passes
+    # there. At P = 10 a damped step was once accepted with nu unchanged,
+    # and the search repeated it to the end of its iteration budget
     with pytest.raises(LineSearchError, match="stalled") as info:
-        solver.solve(SourceSpectrum([3.0, 2.0, 1.0]), TradeoffQuery(3.0, 10.0, PerceptionMetric.KL))
+        solver.solve(SourceSpectrum([3.0, 2.0, 1.0]), TradeoffQuery(3.0, 100.0, PerceptionMetric.KL))
     assert info.value.diagnostics["iterations"] < solver._MAX_DUAL_ITERATIONS
 
 
@@ -735,23 +738,31 @@ def step_query(lam, nu1, nu2, metric):
 
 @pytest.mark.parametrize("metric", [PerceptionMetric.KL, PerceptionMetric.W2], ids=["kl", "w2"])
 def test_damped_step_matches_a_dense_solve(metric):
-    # the accepted candidate must be nu*(1 + y) for y = (H + mu I)^-1 b with
-    # the relative Hessian H and b = nu*slacks
+    # each damped candidate must be nu*(1 + y) for y = (H + mu I)^-1 b with
+    # the relative Hessian H, b = nu*slacks and mu stepped tenfold from its
+    # floor, 1e-6 of the larger of tr H and max |b|
     lam = np.geomspace(1e-3, 1.0, 4)
     worst = 0.0
     for nu1, nu2 in HESSIAN_DUALS:
         D, P, state, (h00, h01, h11) = step_query(lam, nu1, nu2, metric)
         nu = np.array([nu1, nu2])
-        for mu in (0.0, 1e-2):
-            step = solver._damped_step(
-                lam, nu, state, (h00, h01, h11), metric, D, P, 1e-9 * D, 1e-9 * P, mu
-            )
-            assert step is not None
-            cand, _, mu_accepted = step
-            hess = np.array([[h00, h01], [h01, h11]])
-            b = nu * np.array([state.slack_d, state.slack_p])
-            y = np.linalg.solve(hess + mu_accepted * np.eye(2), b)
-            worst = max(worst, float(np.max(np.abs(cand - nu * (1.0 + y)) / cand)))
+        hess = np.array([[h00, h01], [h01, h11]])
+        b = nu * np.array([state.slack_d, state.slack_p])
+        mu = 1e-6 * max(h00 + h11, float(np.max(np.abs(b))))
+        expected = []
+        for _ in range(solver._MAX_DAMPINGS):
+            y = np.linalg.solve(hess + mu * np.eye(2), b)
+            if np.all(y > -0.9):
+                expected.append(nu * (1.0 + y))
+            mu *= 10.0
+        damped = [
+            np.array(cand)
+            for cand, _, armijo in solver._candidates(nu1, nu2, state, (h00, h01, h11), D, P)
+            if armijo
+        ]
+        assert len(damped) == len(expected) > 0
+        for cand, ref in zip(damped, expected):
+            worst = max(worst, float(np.max(np.abs(cand - ref) / cand)))
     assert worst <= 1e-13
 
 
@@ -806,6 +817,56 @@ def mp_budget_sums(lam, nu1, nu2, metric, gammas):
     return dist, perc
 
 
+def mp_kl_rate(lam, D, P, nu1, nu2):
+    """KL rate at the 50-digit root of both budget equations, sought from (nu1, nu2).
+
+    Each component's gap ``lam - gamma`` solves its gamma condition
+    ``nu1*(1 - 2*gamma*nu1) + nu2*(1/lam - 1/lambda_hat)/2 = 0`` with
+    ``lambda_hat = gap/(2*gamma*nu1)^2``, by bisection in ``log(gap)``,
+    where the condition rises; Newton in ``(nu1, log(nu2))`` meets both
+    budgets.
+    """
+    with mpmath.workdps(50):
+        lam = [mpmath.mpf(v) for v in lam]
+
+        def allocation(n1, n2):
+            out = []
+            for l in lam:
+                def condition(x):
+                    gap = mpmath.exp(x)
+                    cap = 2 * (l - gap) * n1
+                    return n1 * (1 - cap) + n2 * (1 / l - cap**2 / gap) / 2
+
+                lo, hi = mpmath.log(l) - 1000, mpmath.log(l) - mpmath.mpf("1e-40")
+                for _ in range(200):
+                    mid = (lo + hi) / 2
+                    lo, hi = (mid, hi) if condition(mid) < 0 else (lo, mid)
+                gap = mpmath.exp((lo + hi) / 2)
+                out.append((l, gap, gap / (2 * (l - gap) * n1) ** 2))
+            return out
+
+        def relative_slacks(n1, t2):
+            dist = perc = 0
+            for l, gap, h in allocation(n1, mpmath.exp(t2)):
+                dist += l - 2 * mpmath.sqrt(h * gap) + h
+                perc += (h / l - 1 - mpmath.log(h / l)) / 2
+            return [dist / D - 1, perc / P - 1]
+
+        n1, t2 = mpmath.findroot(relative_slacks, (mpmath.mpf(nu1), mpmath.log(nu2)))
+        rates = (-mpmath.log1p(-gap / l) / 2 for l, gap, _ in allocation(n1, mpmath.exp(t2)))
+        return float(sum(rates))
+
+
+def test_large_kl_budget_rate_matches_mpmath():
+    # nu2 is near 7.7e-29 here, and the collapsed component keeps
+    # lambda_hat/lam near 4e-27: far below where the KL term's digits and
+    # steps in nu once gave out
+    lam, D, P = [0.01, 1.0], 0.5, 30.0
+    sol = solver.solve(SourceSpectrum(lam), TradeoffQuery(D, P, PerceptionMetric.KL))
+    ref = mp_kl_rate(lam, D, P, sol.dual.nu1, sol.dual.nu2)
+    assert abs(sol.total_rate - ref) <= 1e-12 * ref
+
+
 @pytest.mark.parametrize("metric", [PerceptionMetric.KL, PerceptionMetric.W2], ids=["kl", "w2"])
 def test_slack_jacobian_matches_mpmath(metric):
     # entry by entry, relative: the same bound for J as for H
@@ -826,14 +887,16 @@ def test_slack_jacobian_matches_mpmath(metric):
 
 
 def assert_damped_step(lam, nu, state, metric):
-    # D = 1 and P = 0.1, met to 1e-9 of themselves; RuntimeWarnings raise
+    # D = 1 and P = 0.1, met to 1e-9 of themselves; RuntimeWarnings raise.
+    # There is no log step here, so the step taken is a damped one
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        step = solver._try_newton(lam, nu, state, metric, 1.0, 0.1, 1e-9, 1e-10, 0.0)
+        hess = solver._relative_hessian(lam, nu[0], nu[1], state, metric)
+        assert solver._log_step(nu[0], nu[1], state, hess, 1.0, 0.1) is None
+        step = solver._try_newton(lam, nu, state, metric, 1.0, 0.1, 1e-9, 1e-10)
     assert step is not None
-    cand, _, mu = step
+    cand, _ = step
     assert np.all(np.isfinite(cand)) and np.all(cand > 0.0)
-    assert mu > 0.0
 
 
 def test_slack_jacobian_on_the_kl_zero_rate_boundary():
