@@ -49,11 +49,11 @@ def main():
     reports = verify_solution(s, sol, n, seed=7, metric=METRIC)
     print(f"\nMonte Carlo, n = {n} per component:")
     for i, r in enumerate(reports):
-        flag = "ok" if r.within_four_se else "FAIL"
+        flag = "ok" if r.within_threshold else "FAIL"
         print(
             f"  component {i + 1}: empirical {r.empirical_distortion:.5f}"
             f"  analytic {r.analytic_distortion:.5f}"
-            f"  (4 SE = {4 * r.standard_error:.5f})  {flag}"
+            f"  ({r.threshold:g} SE = {r.threshold * r.standard_error:.5f})  {flag}"
         )
     total_emp = sum(r.empirical_distortion for r in reports)
     pooled = math.sqrt(sum(r.standard_error**2 for r in reports))

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from gaussian_rdp import NonPositiveDistortionError, PerceptionMetric
+from gaussian_rdp import NonPositiveDistortionError, PerceptionMetric, montecarlo
 from gaussian_rdp.cli import (
     CliInputError,
     GridSpec,
@@ -494,6 +494,40 @@ def test_verify_passing_report():
     assert report["rate_abs_diff"] <= report["rate_tolerance"]
     assert len(report["montecarlo"]) == 2
     assert report["oracle_method"] == "barrier"
+
+
+def test_verify_fails_a_1e_4_distortion_error_in_one_of_2000_components(monkeypatch):
+    # at n = 1e12 the relative standard error is sqrt(2/n) = 1.4e-6, so a
+    # sampled variance 1e-4 off is 70 standard errors out, far past the
+    # 4.81 that 2,000 components allow each
+    lam = np.exp(np.random.default_rng(0).uniform(-1.0, 1.0, 2000))
+    tr = float(lam.sum())
+    cfg = RunConfig(
+        lambdas=tuple(lam.tolist()),
+        covariance_path=None,
+        metric=PerceptionMetric.W2,
+        distortion=0.3 * tr,
+        perception=0.05 * tr,
+        samples=10**12,
+    )
+    assert run_verify(cfg)["montecarlo_pass"]
+
+    wrong = 1234
+    coefficient = montecarlo._difference_coefficient
+
+    def off_in_one_component(pair):
+        c = coefficient(pair)
+        if pair.lam != lam[wrong]:
+            return c
+        l22 = montecarlo._lower_factor(pair)[2]
+        return math.sqrt(c * c + 1e-4 * (c * c + l22 * l22))
+
+    monkeypatch.setattr(montecarlo, "_difference_coefficient", off_in_one_component)
+    report = run_verify(cfg)
+    failed = [e["component"] for e in report["montecarlo"] if not e["pass"]]
+    assert failed == [wrong + 1]
+    assert not report["montecarlo_pass"]
+    assert not report["all_pass"]
 
 
 def test_verify_report_bytes_deterministic(capsys):
