@@ -50,6 +50,42 @@ CORNER_TRIPLES = [
 ]
 
 
+def _elementwise_reference(pair, n, seed, stream):
+    """Sampled statistics from an elementwise pass over all the draws.
+
+    It forms z, zhat and (z - zhat)^2 per sample, over all ``n`` draws at
+    once, and sums them.  Returns (mean distortion, its standard error).
+    """
+    l11, l21, l22 = montecarlo._lower_factor(pair)
+    n0, n1 = np.random.Generator(np.random.SFC64([seed, stream])).standard_normal((n, 2)).T
+    z = l11 * n0
+    zh = l21 * n0 + l22 * n1
+    d = (z - zh) ** 2
+    sum_d, sum_d2 = float(np.sum(d)), float(np.sum(d * d))
+    mean_d = sum_d / n
+    var_d = max(sum_d2 - n * mean_d * mean_d, 0.0) / (n - 1)
+    return mean_d, math.sqrt(var_d / n)
+
+
+@pytest.mark.parametrize("lam, gamma, lambda_hat", _random_pairs(6) + CORNER_TRIPLES)
+@pytest.mark.parametrize("n", [1000, 50_000, 100_003])
+def test_sampler_matches_elementwise_reference(lam, gamma, lambda_hat, n):
+    # the sampler draws the mean of n squared differences from its law in
+    # one chi-square variate, the reference sums n pairs of normals, so the
+    # two are independent draws of one statistic: the means agree within 4
+    # of their combined standard errors, and the standard errors, whose
+    # relative spread is about 2.3/sqrt(n) between the two, within 10/sqrt(n)
+    pair = build_pair(lam, gamma, lambda_hat)
+    rep = sample_and_measure(pair, n, 19, stream=4)
+    mean_ref, se_ref = _elementwise_reference(pair, n, 19, 4)
+    gap = abs(rep.empirical_distortion - mean_ref)
+    assert gap <= 4.0 * math.hypot(rep.standard_error, se_ref), (gap, mean_ref)
+    assert abs(rep.standard_error - se_ref) <= 10.0 / math.sqrt(n) * se_ref
+    assert rep.analytic_distortion == float(
+        montecarlo.distortion_terms(gamma, lam - gamma, lambda_hat)
+    )
+
+
 def test_sampled_variance_matches_distortion_terms():
     # the sampler's variance of z - z_hat comes from the Cholesky
     # coefficients, the analytic distortion from the kernels; the two are
