@@ -29,12 +29,14 @@ become rows with an ``infeasible`` tag and empty numeric fields rather
 than aborting the run.
 
 Exit codes: 0 success (and every check passing, for ``verify``); 1
-malformed input or a failed verification; 3 convergence failure.
+malformed input or a failed verification; 3 convergence failure, of the
+dual search or, under ``verify``, of a barrier stage.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -606,6 +608,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _shared_parser() -> argparse.ArgumentParser:
+    """The parser every :func:`main` call of this process uses, built on
+    the first call.  Building it takes about ten times as long as parsing
+    one command line, a cost in-process callers would otherwise pay on
+    every call; parsing leaves the parser as it was."""
+    return build_parser()
+
+
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
     if args.jobs < 1:
         raise CliInputError(f"--jobs must be >= 1, got {args.jobs}")
@@ -638,9 +649,8 @@ def _emit(text: str, path: str | None) -> None:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _shared_parser().parse_args(argv)
         cfg = _config_from_args(args)
         if args.command == "point":
             _, sol, q = run_point(cfg)

@@ -668,3 +668,24 @@ def test_output_file_written(tmp_path):
     assert code == 0
     rec = json.loads(out.read_text())
     assert abs(rec["rate_nats"] - math.log(2.0)) < 1e-9
+
+
+def test_one_parser_serves_every_call_of_a_process(capsys, monkeypatch):
+    # main builds its parser once per process; later calls must parse as a
+    # fresh parser would, defaults and errors included
+    from gaussian_rdp import cli
+
+    argv = ["verify", "--lambdas", "3,2,1", "--metric", "kl", "--distortion", "2",
+            "--perception", "0.05", "--samples", "1000"]
+    outputs = []
+    for _ in range(2):
+        assert main(argv) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
+    built = []
+    monkeypatch.setattr(cli, "build_parser", lambda: built.append(1))
+    for _ in range(2):
+        assert main(["verify", *argv[1:], "--no-such-flag"]) == 1
+        assert "--no-such-flag" in capsys.readouterr().err
+    assert main(argv) == 0 and capsys.readouterr().out == outputs[0]
+    assert not built

@@ -14,7 +14,7 @@ import pytest
 
 from gaussian_rdp import oracle, solver
 from gaussian_rdp.cli import RunConfig, main, run_verify
-from gaussian_rdp.errors import DomainError, OutOfRangeError
+from gaussian_rdp.errors import ConvergenceError, DomainError, OutOfRangeError
 from gaussian_rdp.model import PerceptionMetric, SourceSpectrum, TradeoffQuery
 
 HALF_LOG_2 = 0.693147180559945309417232121458 / 2.0
@@ -87,16 +87,106 @@ def test_no_barrier_stage_runs_to_its_cap(monkeypatch):
     stage_steps = []
     stage = oracle._minimize_stage
 
-    def recorded(problem, x, mu):
-        x, steps = stage(problem, x, mu)
+    def recorded(problem, x, mu, shift):
+        x, steps, curvature = stage(problem, x, mu, shift)
         stage_steps.append(steps)
-        return x, steps
+        return x, steps, curvature
 
     monkeypatch.setattr(oracle, "_minimize_stage", recorded)
     res = oracle.minimize_primal(SourceSpectrum(lam), q)
     assert stage_steps and max(stage_steps) < oracle._MAX_STAGE_ITERATIONS
     ref = solver.solve(SourceSpectrum(lam), q).total_rate
     assert abs(res.rate - ref) <= 1e-6 * ref
+
+
+def _stage_steps(monkeypatch, s, q):
+    """The Newton steps of each barrier stage of one oracle run."""
+    steps_taken = []
+    stage = oracle._minimize_stage
+
+    def recorded(problem, x, mu, shift):
+        x, steps, curvature = stage(problem, x, mu, shift)
+        steps_taken.append(steps)
+        return x, steps, curvature
+
+    monkeypatch.setattr(oracle, "_minimize_stage", recorded)
+    oracle.minimize_primal(s, q)
+    monkeypatch.setattr(oracle, "_minimize_stage", stage)
+    return steps_taken
+
+
+@pytest.mark.parametrize("P", [0.05, 0.0])
+def test_a_stage_at_its_cap_raises(monkeypatch, tmp_path, P):
+    # a stage stopped early leaves the rate far from the optimum, so the
+    # cap must not pass silently; a stage that centres on its last allowed
+    # step is not capped
+    s = spectrum(3.0, 2.0, 1.0)
+    q = TradeoffQuery(2.0, P, PerceptionMetric.KL)
+    size = 3 if P == 0.0 else 6
+    most = max(_stage_steps(monkeypatch, s, q))
+    monkeypatch.setattr(oracle, "_MAX_STAGE_ITERATIONS", most - size)
+    oracle.minimize_primal(s, q)
+    monkeypatch.setattr(oracle, "_MAX_STAGE_ITERATIONS", most - size - 1)
+    with pytest.raises(ConvergenceError) as caught:
+        oracle.minimize_primal(s, q)
+    assert type(caught.value) is ConvergenceError
+    diagnostics = caught.value.diagnostics
+    assert diagnostics["steps"] == most - 1
+    assert diagnostics["barrier_mu"] in oracle._BARRIER_WEIGHTS
+    assert diagnostics["newton_decrement_sq"] > oracle._DECREMENT_TOL
+    code = main([
+        "verify", "--lambdas", "3,2,1", "--metric", "kl", "--distortion", "2",
+        "--perception", repr(P), "--samples", "1000",
+        "--output", str(tmp_path / "report.json"),
+    ])
+    assert code == 3
+
+
+@pytest.mark.parametrize("kind", ["kl", "w2", "none", "p0"])
+def test_path_tangent_matches_central_differences(monkeypatch, kind):
+    # centre tightly at mu and mu*(1 +- eps): the central path's difference
+    # quotient must match the tangent solved from the curvature at mu
+    monkeypatch.setattr(oracle, "_DECREMENT_TOL", 1e-15)
+    rng = np.random.default_rng(67)
+    for _ in range(3):
+        problem, x = _interior_barrier_problem(kind, rng)
+        for mu in (1e-1, 1e-2, 1e-3):
+            eps = 1e-3
+            x, _, curvature = oracle._minimize_stage(problem, x, mu)
+            tangent = oracle._path_tangent(problem, x, curvature)
+            plus = oracle._minimize_stage(problem, x, mu * (1.0 + eps))[0]
+            minus = oracle._minimize_stage(problem, x, mu * (1.0 - eps))[0]
+            err = (plus - minus) / (2.0 * eps * mu) - tangent
+            _, hess = _dense_derivatives(problem, x, mu)
+            assert math.sqrt(err @ hess @ err) <= 1e-5 * math.sqrt(tangent @ hess @ tangent)
+
+
+@pytest.mark.parametrize("kind", ["kl", "w2", "none", "p0"])
+def test_predicted_start_is_interior_and_never_raises_the_barrier(kind):
+    # also with the shift overshooting thirtyfold, which must be cut back,
+    # and reversed, uphill, which must leave the point where it is
+    rng = np.random.default_rng(71)
+    weights = oracle._BARRIER_WEIGHTS
+    accepted = 0
+    for _ in range(5):
+        problem, x = _interior_barrier_problem(kind, rng)
+        shift = None
+        for k, mu in enumerate(weights):
+            for factor in (1.0, 30.0, -1.0):
+                moved = None if shift is None else factor * shift
+                start, value, slacks = oracle._predicted_start(problem, x, mu, moved)
+                assert problem.slacks(start) == slacks is not None
+                assert value == problem.evaluate(start, mu)[0]
+                if start is not x:
+                    assert value < problem.evaluate(x, mu)[0]
+                    accepted += factor == 1.0
+                else:
+                    assert factor == -1.0 or shift is None
+            x, _, curvature = oracle._minimize_stage(problem, x, mu, shift)
+            if k + 1 < len(weights):
+                shift = (weights[k + 1] - mu) * oracle._path_tangent(problem, x, curvature)
+    # the prediction is taken at most transitions, not just kept as a no-op
+    assert accepted >= 4 * (len(weights) - 1)
 
 
 def test_w2_tiny_budget_approximates_perfect_perception():
