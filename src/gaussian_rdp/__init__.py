@@ -32,7 +32,6 @@ from .model import (
     SourceSpectrum,
     TradeoffQuery,
     from_covariance,
-    max_zero_rate_distortion,
     zero_rate_reconstruction,
 )
 from .classic_rd import (
@@ -96,7 +95,6 @@ __all__ = [
     "high_distortion_rd_estimate",
     "low_distortion_p0_estimate",
     "low_distortion_rd_estimate",
-    "max_zero_rate_distortion",
     "minimize_primal",
     "minimize_primal_p0",
     "reverse_waterfill",

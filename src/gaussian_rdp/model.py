@@ -49,7 +49,6 @@ __all__ = [
     "KktResiduals",
     "CurveSweep",
     "from_covariance",
-    "max_zero_rate_distortion",
     "zero_rate_reconstruction",
 ]
 
@@ -387,12 +386,3 @@ def zero_rate_reconstruction(
     hats = lam * (mu / (mu + 2.0 * lam))
     return hats, total + float(np.sum(hats))
 
-
-def max_zero_rate_distortion(s: SourceSpectrum, metric: PerceptionMetric, P: float) -> float:
-    """Distortion of the cheapest zero-rate reconstruction within budget P.
-
-    Equals ``2*sum(lambdas)`` at P = 0 (the reconstruction must copy the
-    source law) and ``sum(lambdas)`` when perception is unconstrained
-    (deterministic zero reconstruction). Nonincreasing in P.
-    """
-    return zero_rate_reconstruction(s, metric, P)[1]

@@ -15,12 +15,17 @@ samples it with exactly the law of ``n`` sampled pairs, at a cost that does
 not grow with ``n``.  Each (seed, stream) seeds its own numpy ``Generator``
 over the SFC64 bit generator (both taken modulo 2**64), so the same seed,
 stream and numpy version draw the same value, and streams are independent.
+
+Every component of a solution is sampled in one array pass: s2, the
+analytic distortion and the standard error are formed for all components
+at once, and only the draws, one per (seed, stream), are taken in turn.
+:func:`sample_and_measure` is the same pass over one component.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -112,35 +117,65 @@ def build_pair(lam: float, gamma: float, lambda_hat: float) -> JointGaussianPair
     return JointGaussianPair(cov=cov, lam=lam, gamma=gamma, lambda_hat=lambda_hat)
 
 
-def _lower_factor(pair: JointGaussianPair):
-    """Closed-form 2x2 Cholesky factor of the pair covariance."""
-    lam, gamma, lam_hat = pair.lam, pair.gamma, pair.lambda_hat
-    # Schur complement lambda_hat - c^2/lam = lambda_hat*gamma/lam; for any
-    # pair build_pair accepts both radicands are products of nonnegative
-    # floats, so a negative one is an inconsistent pair, not rounding
-    rad21 = lam_hat * (lam - gamma) / lam
-    rad22 = lam_hat * gamma / lam
-    if rad21 < 0.0 or rad22 < 0.0:
-        raise NotPsdError(f"pair covariance is not factorable: {pair.cov!r}")
-    return math.sqrt(lam), math.sqrt(rad21), math.sqrt(rad22)
+def _difference_variance(lam, gamma, lambda_hat):
+    """Variance of ``z - z_hat = (l11 - l21)*n0 - l22*n1`` for each
+    component, from the closed-form 2x2 Cholesky factor of its pair.
+
+    ``l11 - l21`` is formed as ``(sqrt(lam) - sqrt(lambda_hat)) +
+    sqrt(lambda_hat) * gamma / (lam + sqrt(lam) * sqrt(lam - gamma))``,
+    which keeps the digits of ``gamma`` where ``l21`` rounds to ``l11``.
+
+    Raises
+    ------
+    NotPsdError
+        If a radicand of the factor is negative.
+    """
+    gap = lam - gamma
+    # l22^2 is the Schur complement lambda_hat*gamma/lam; for any pair
+    # build_pair accepts, it and the other radicands are nonnegative floats
+    # or their products, so a negative one is an inconsistent pair, not
+    # rounding
+    rad22 = lambda_hat * gamma / lam
+    bad = np.flatnonzero((lambda_hat < 0.0) | (gap < 0.0) | (rad22 < 0.0))
+    if bad.size:
+        i = bad[0]
+        raise NotPsdError(
+            "pair covariance is not factorable: "
+            f"lam {lam[i]}, gamma {gamma[i]}, lambda_hat {lambda_hat[i]}"
+        )
+    root_lam, root_hat, l22 = np.sqrt(lam), np.sqrt(lambda_hat), np.sqrt(rad22)
+    coef = (root_lam - root_hat) + root_hat * gamma / (lam + root_lam * np.sqrt(gap))
+    return coef * coef + l22 * l22
 
 
-def _difference_coefficient(pair: JointGaussianPair) -> float:
-    """``l11 - l21`` of :func:`_lower_factor` as ``(sqrt(lam) -
-    sqrt(lambda_hat)) + sqrt(lambda_hat) * gamma / (lam + sqrt(lam) *
-    sqrt(lam - gamma))``, which keeps the digits of ``gamma`` where ``l21``
-    rounds to ``l11``."""
-    lam, gamma, root_hat = pair.lam, pair.gamma, math.sqrt(pair.lambda_hat)
-    root_lam = math.sqrt(lam)
-    return (root_lam - root_hat) + root_hat * gamma / (
-        lam + root_lam * math.sqrt(lam - gamma)
-    )
+def _sample(lam, gamma, lambda_hat, n: int, seed: int, streams) -> list[SampleReport]:
+    """Sample and compare every component in one pass: component ``i``
+    draws from stream ``streams[i]``, and every report carries the family
+    threshold for the component count.
 
-
-def _difference_variance(pair: JointGaussianPair) -> float:
-    """Variance of ``z - z_hat = (l11 - l21)*n0 - l22*n1``, from the factor."""
-    l22 = _lower_factor(pair)[2]
-    return _difference_coefficient(pair) ** 2 + l22 * l22
+    Raises
+    ------
+    DomainError
+        If ``n < 1000`` or a ``lambda_hat`` is not finite.
+    NotPsdError
+        If a radicand of a closed-form factor is negative.
+    """
+    if n < 1000:
+        raise DomainError(f"need at least 1000 samples, got {n}")
+    if not np.all(lambda_hat < math.inf):
+        raise DomainError("every lambda_hat must be finite")
+    s2 = _difference_variance(lam, gamma, lambda_hat)
+    # numpy.random is imported on first use, not with the package
+    rngs = (np.random.Generator(np.random.SFC64([seed & _MASK, k & _MASK])) for k in streams)
+    # the sum of n values of (z - z_hat)^2 is s2 times a chi-square variate
+    mean_d = s2 * np.array([rng.chisquare(n) for rng in rngs]) / n
+    analytic = distortion_terms(gamma, lam - gamma, lambda_hat)
+    se = mean_d * math.sqrt(2.0 / n)
+    threshold = _family_threshold(lam.size)
+    return [
+        SampleReport(n, m, a, e, seed, threshold)
+        for m, a, e in zip(mean_d.tolist(), analytic.tolist(), se.tolist())
+    ]
 
 
 def sample_and_measure(
@@ -158,23 +193,8 @@ def sample_and_measure(
     NotPsdError
         If the closed-form factorization meets a negative radicand.
     """
-    if n < 1000:
-        raise DomainError(f"need at least 1000 samples, got {n}")
-    s2 = _difference_variance(pair)
-    # numpy.random is imported on first use, not with the package
-    rng = np.random.Generator(np.random.SFC64([seed & _MASK, stream & _MASK]))
-    # the sum of n values of (z - z_hat)^2 is s2 times a chi-square variate
-    mean_d = s2 * float(rng.chisquare(n)) / n
-    analytic = float(
-        distortion_terms(pair.gamma, pair.lam - pair.gamma, pair.lambda_hat)
-    )
-    return SampleReport(
-        n_samples=n,
-        empirical_distortion=mean_d,
-        analytic_distortion=analytic,
-        standard_error=mean_d * math.sqrt(2.0 / n),
-        seed=seed,
-    )
+    lam, gamma, lambda_hat = np.array([[pair.lam], [pair.gamma], [pair.lambda_hat]])
+    return _sample(lam, gamma, lambda_hat, n, seed, (stream,))[0]
 
 
 def verify_solution(
@@ -196,17 +216,14 @@ def verify_solution(
     Raises
     ------
     DomainError
-        If an analytic total fails to match the solution's record.
+        If ``n < 1000``, a ``lambda_hat`` is not finite, or an analytic
+        total fails to match the solution's record.
+    NotPsdError
+        If a radicand of a closed-form factor is negative.
     """
     lam = s.lambdas
-    threshold = _family_threshold(len(lam))
-    reports = []
-    analytic_total = 0.0
-    for i, (l, g, h) in enumerate(zip(lam, sol.gammas, sol.lambda_hats)):
-        pair = build_pair(float(l), min(float(g), float(l)), float(h))
-        rep = sample_and_measure(pair, n, seed, stream=i)
-        reports.append(replace(rep, threshold=threshold))
-        analytic_total += rep.analytic_distortion
+    reports = _sample(lam, np.minimum(sol.gammas, lam), sol.lambda_hats, n, seed, range(lam.size))
+    analytic_total = sum(r.analytic_distortion for r in reports)
     if abs(analytic_total - sol.achieved_distortion) > 1e-10 * sol.achieved_distortion:
         raise DomainError(
             "analytic distortion total does not reproduce the solution: "

@@ -367,33 +367,33 @@ class _BarrierProblem:
         )
 
 
-def _predicted_start(problem: _BarrierProblem, x, mu: float, shift):
-    """A stage's start, with its barrier value and slacks: the first of
-    ``x + t * shift``, t = 1, 1/2, 1/4, ..., that is strictly interior and
-    lowers the barrier value below its value at ``x``, else ``x``."""
-    value, slacks = problem.evaluate(x, mu)
-    if shift is not None:
-        t = 1.0
-        for _ in range(_MAX_BACKTRACKS):
-            cand = x + t * shift
-            cand_value, cand_slacks = problem.evaluate(cand, mu)
-            if cand_value < value:
-                return cand, cand_value, cand_slacks
-            t *= 0.5
-    return x, value, slacks
+def _line_search(problem: _BarrierProblem, x, value, direction, mu: float, decrease: float):
+    """The first of ``x + t * direction``, t = 1, 1/2, 1/4, ... (at most
+    ``_MAX_BACKTRACKS`` tries), that is strictly interior and whose barrier
+    value is below ``value`` and at most ``value - t * decrease``, as
+    ``(point, barrier value, slacks)``; ``None`` if there is none."""
+    t = 1.0
+    for _ in range(_MAX_BACKTRACKS):
+        cand = x + t * direction
+        cand_value, cand_slacks = problem.evaluate(cand, mu)
+        if cand_value < value and cand_value <= value - t * decrease:
+            return cand, cand_value, cand_slacks
+        t *= 0.5
+    return None
 
 
 def _minimize_stage(problem: _BarrierProblem, x, mu: float, shift=None):
     """Center one barrier stage, returning ``(x, steps taken, curvature)``,
     the last the :class:`_Curvature` at the centred point.
 
-    The stage starts from ``x`` moved by the predicted ``shift`` where
-    that lowers the barrier value (:func:`_predicted_start`), which is not
-    counted as a step.  Every step is a Newton step damped by an Armijo
-    backtrack.  Inside the feasible set the barrier Hessian is positive
-    definite: the objective and the box barriers are strictly convex in
-    each water level and reconstruction variance, and the budget barriers
-    are convex (Boyd & Vandenberghe, section 11.3).  The direction and its
+    The stage starts from ``x`` moved by the predicted ``shift`` where a
+    backtrack of it lowers the barrier value (:func:`_line_search` with no
+    required decrease), which is not counted as a step.  Every step is a
+    Newton step damped by an Armijo backtrack, the same search with the
+    Armijo decrease.  Inside the feasible set the barrier Hessian is
+    positive definite: the objective and the box barriers are strictly
+    convex in each water level and reconstruction variance, and the budget
+    barriers are convex (Boyd & Vandenberghe, section 11.3).  The direction and its
     squared decrement come from the Hessian's structure
     (:meth:`_Curvature.solve`) in O(L) work, the decrement as a sum of
     nonnegative terms, and the slacks of each accepted point carry over to
@@ -415,7 +415,9 @@ def _minimize_stage(problem: _BarrierProblem, x, mu: float, shift=None):
         ``_MAX_STAGE_ITERATIONS`` steps plus one per variable (a stage's
         damped steps grow about linearly with L).
     """
-    x, value, slacks = _predicted_start(problem, x, mu, shift)
+    value, slacks = problem.evaluate(x, mu)
+    if shift is not None:
+        x, value, slacks = _line_search(problem, x, value, shift, mu, 0.0) or (x, value, slacks)
     max_steps = _MAX_STAGE_ITERATIONS + x.size
     for steps in range(max_steps + 1):
         r, curvature = problem.derivatives(x, mu, slacks)
@@ -424,20 +426,14 @@ def _minimize_stage(problem: _BarrierProblem, x, mu: float, shift=None):
             return x, steps, curvature
         if steps == max_steps:
             break
-        t = 1.0
-        for _ in range(_MAX_BACKTRACKS):
-            cand = x + t * direction
-            cand_value, cand_slacks = problem.evaluate(cand, mu)
-            if cand_value < value and cand_value <= value - _ARMIJO_C * t * decrement_sq:
-                x, value, slacks = cand, cand_value, cand_slacks
-                break
-            t *= 0.5
-        else:
+        accepted = _line_search(problem, x, value, direction, mu, _ARMIJO_C * decrement_sq)
+        if accepted is None:
             raise LineSearchError(
                 "barrier stage stalled",
                 barrier_mu=mu,
                 newton_decrement_sq=decrement_sq,
             )
+        x, value, slacks = accepted
     raise ConvergenceError(
         "barrier stage reached its Newton step cap",
         barrier_mu=mu,

@@ -513,16 +513,12 @@ def test_verify_fails_a_1e_4_distortion_error_in_one_of_2000_components(monkeypa
     assert run_verify(cfg)["montecarlo_pass"]
 
     wrong = 1234
-    coefficient = montecarlo._difference_coefficient
+    variance = montecarlo._difference_variance
 
-    def off_in_one_component(pair):
-        c = coefficient(pair)
-        if pair.lam != lam[wrong]:
-            return c
-        l22 = montecarlo._lower_factor(pair)[2]
-        return math.sqrt(c * c + 1e-4 * (c * c + l22 * l22))
+    def off_in_one_component(lams, gammas, lambda_hats):
+        return variance(lams, gammas, lambda_hats) * np.where(lams == lam[wrong], 1.0 + 1e-4, 1.0)
 
-    monkeypatch.setattr(montecarlo, "_difference_coefficient", off_in_one_component)
+    monkeypatch.setattr(montecarlo, "_difference_variance", off_in_one_component)
     report = run_verify(cfg)
     failed = [e["component"] for e in report["montecarlo"] if not e["pass"]]
     assert failed == [wrong + 1]

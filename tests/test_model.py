@@ -18,7 +18,6 @@ from gaussian_rdp.model import (
     SourceSpectrum,
     TradeoffQuery,
     from_covariance,
-    max_zero_rate_distortion,
     zero_rate_reconstruction,
 )
 
@@ -140,7 +139,7 @@ def test_zero_rate_perfect_perception_doubles_variance():
         hats, dist = zero_rate_reconstruction(s, metric, 0.0)
         assert np.array_equal(hats, [2.0, 0.5])
         assert dist == 5.0
-        assert max_zero_rate_distortion(s, metric, 0.0) == 5.0
+        assert zero_rate_reconstruction(s, metric, 0.0)[1] == 5.0
 
 
 def test_zero_rate_kl_scalar_oracle_point():
@@ -177,7 +176,7 @@ def test_zero_rate_budgets_met_with_equality_when_binding():
         lam = rng.uniform(0.2, 5.0, size=int(rng.integers(1, 5)))
         s = SourceSpectrum(lam)
         for metric in (PerceptionMetric.KL, PerceptionMetric.W2):
-            cap = max_zero_rate_distortion(s, metric, 0.0)
+            cap = zero_rate_reconstruction(s, metric, 0.0)[1]
             p = float(rng.uniform(0.01, 0.5))
             hats, dist = zero_rate_reconstruction(s, metric, p)
             if metric is PerceptionMetric.KL:

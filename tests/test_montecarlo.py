@@ -19,6 +19,7 @@ from gaussian_rdp import (
     PerceptionMetric,
     SourceSpectrum,
     TradeoffQuery,
+    from_covariance,
     montecarlo,
     reverse_waterfill,
     solve,
@@ -50,13 +51,23 @@ CORNER_TRIPLES = [
 ]
 
 
+def _lower_factor(pair):
+    """Closed-form 2x2 Cholesky factor (l11, l21, l22) of the pair covariance."""
+    lam, gamma, lambda_hat = pair.lam, pair.gamma, pair.lambda_hat
+    return (
+        math.sqrt(lam),
+        math.sqrt(lambda_hat * (lam - gamma) / lam),
+        math.sqrt(lambda_hat * gamma / lam),
+    )
+
+
 def _elementwise_reference(pair, n, seed, stream):
     """Sampled statistics from an elementwise pass over all the draws.
 
     It forms z, zhat and (z - zhat)^2 per sample, over all ``n`` draws at
     once, and sums them.  Returns (mean distortion, its standard error).
     """
-    l11, l21, l22 = montecarlo._lower_factor(pair)
+    l11, l21, l22 = _lower_factor(pair)
     n0, n1 = np.random.Generator(np.random.SFC64([seed, stream])).standard_normal((n, 2)).T
     z = l11 * n0
     zh = l21 * n0 + l22 * n1
@@ -93,13 +104,10 @@ def test_sampled_variance_matches_distortion_terms():
     # a few ulps (9.6e-16 relative at worst on these triples)
     triples = _random_pairs(2000) + CORNER_TRIPLES
     triples += [(3.7, 1e-12 * 3.7, r * 3.7) for r in (1.0, 0.4)]
-    worst = 0.0
-    for lam, gamma, lambda_hat in triples:
-        pair = build_pair(lam, gamma, lambda_hat)
-        want = float(montecarlo.distortion_terms(gamma, lam - gamma, lambda_hat))
-        got = montecarlo._difference_variance(pair)
-        worst = max(worst, abs(got - want) / want)
-    assert worst <= 2e-15
+    lam, gamma, lambda_hat = np.array(triples).T
+    want = montecarlo.distortion_terms(gamma, lam - gamma, lambda_hat)
+    got = montecarlo._difference_variance(lam, gamma, lambda_hat)
+    assert float(np.max(np.abs(got - want) / want)) <= 2e-15
 
 
 @pytest.mark.parametrize("lambda_hat_ratio", [1.0, 0.4])
@@ -114,7 +122,8 @@ def test_sampler_is_exact_where_the_elementwise_form_cancels(lambda_hat_ratio):
     with mpmath.workdps(40):
         l, g, h = (mpmath.mpf(v) for v in (pair.lam, pair.gamma, pair.lambda_hat))
         exact = float(l + h - 2 * mpmath.sqrt(h * (l - g)))
-    got = montecarlo._difference_variance(pair)
+    triple = np.array([[pair.lam], [pair.gamma], [pair.lambda_hat]])
+    got = float(montecarlo._difference_variance(*triple)[0])
     assert abs(got - exact) <= 2e-15 * exact, (got, exact)
 
 
@@ -181,6 +190,73 @@ def test_verify_solution_sets_the_family_threshold(size):
     assert {r.threshold for r in reports} == {montecarlo._family_threshold(size)}
 
 
+def _both_active_five():
+    s = SourceSpectrum((3.0, 2.0, 5.0, 4.0, 1.0))
+    return s, solve(s, TradeoffQuery(7.5, 0.1, PerceptionMetric.KL))
+
+
+def _ar1_48_p0():
+    i = np.arange(48)
+    s = from_covariance(0.95 ** np.abs(i[:, None] - i[None, :]))
+    return s, solve(s, TradeoffQuery(14.4, 0.0, PerceptionMetric.W2))
+
+
+def _w2_2000():
+    lam = np.exp(np.random.default_rng(0).uniform(-1.0, 1.0, 2000))
+    tr = float(lam.sum())
+    s = SourceSpectrum(tuple(lam.tolist()))
+    return s, solve(s, TradeoffQuery(0.3 * tr, 0.05 * tr, PerceptionMetric.W2))
+
+
+@pytest.mark.parametrize("problem", [_both_active_five, _ar1_48_p0, _w2_2000])
+@pytest.mark.parametrize("n, seed", [(50_000, 0), (10**12, 2**63)])
+def test_verify_solution_is_sample_and_measure_per_component(problem, n, seed):
+    # one sampling path: component i of a solution is the one-component
+    # sample of its pair on stream i, judged at the family threshold
+    s, sol = problem()
+    reports = verify_solution(s, sol, n, seed)
+    threshold = montecarlo._family_threshold(s.dim)
+    for i, (lam, gamma, lambda_hat) in enumerate(
+        zip(s.lambdas.tolist(), sol.gammas.tolist(), sol.lambda_hats.tolist())
+    ):
+        pair = build_pair(lam, min(gamma, lam), lambda_hat)
+        want = sample_and_measure(pair, n, seed, stream=i)
+        assert reports[i] == dataclasses.replace(want, threshold=threshold), i
+
+
+# sampled (empirical_distortion, standard_error) per component of the
+# both-active five-component KL solution, as drawn when the streams were
+# frozen; a change to the seeding or to s2 shows here, not only between
+# two runs of one build
+FROZEN_DRAWS = {
+    (50_000, 0): [
+        (1.5887831773283023, 0.010048347097033254),
+        (1.4219380399899744, 0.008993125796007815),
+        (1.7204780734490077, 0.010881258752954658),
+        (1.6757587693681337, 0.01059842904040821),
+        (1.063972937613954, 0.0067291557032806626),
+    ],
+    (10**12, 2**63): [
+        (1.594267160220253, 2.2546342400295217e-06),
+        (1.4291690940759936, 2.02115031576674e-06),
+        (1.73130093159077, 2.4484292580048406e-06),
+        (1.680862652057225, 2.377098759025736e-06),
+        (1.0644039895759505, 1.5052945579023396e-06),
+    ],
+}
+
+
+@pytest.mark.parametrize("n, seed", list(FROZEN_DRAWS))
+def test_draws_are_frozen(n, seed):
+    # s2 may differ in its last bit between ways of squaring l11 - l21, so
+    # the bound is about two ulps of relative error, not bit equality
+    s, sol = _both_active_five()
+    reports = verify_solution(s, sol, n, seed, metric=PerceptionMetric.KL)
+    for rep, (mean_d, se) in zip(reports, FROZEN_DRAWS[n, seed], strict=True):
+        assert abs(rep.empirical_distortion - mean_d) <= 4.5e-16 * mean_d
+        assert abs(rep.standard_error - se) <= 4.5e-16 * se
+
+
 def test_build_pair_covariance_entries():
     pair = build_pair(1.0, 0.5, 1.0)
     assert pair.cov[0, 0] == 1.0
@@ -243,10 +319,11 @@ def test_pair_conditional_variance_is_gamma():
 
 @pytest.mark.parametrize("lam, gamma, lambda_hat", _random_pairs(20) + CORNER_TRIPLES)
 def test_lower_factor_reproduces_the_pair_covariance(lam, gamma, lambda_hat):
-    # the sampler's draws are only as right as this factor: l11^2 = lam,
-    # l11*l21 = c and l21^2 + l22^2 = lambda_hat, each to a few ulps
+    # the elementwise reference's draws are only as right as its factor:
+    # l11^2 = lam, l11*l21 = c and l21^2 + l22^2 = lambda_hat, each to a
+    # few ulps
     pair = build_pair(lam, gamma, lambda_hat)
-    l11, l21, l22 = montecarlo._lower_factor(pair)
+    l11, l21, l22 = _lower_factor(pair)
     c = float(pair.cov[0, 1])
     for got, want in ((l11 * l11, lam), (l11 * l21, c), (l21 * l21 + l22 * l22, lambda_hat)):
         assert abs(got - want) <= 4.0 * math.ulp(want), (got, want)
@@ -266,6 +343,18 @@ def test_not_psd_guard_on_inconsistent_pair(scale):
     gamma = (1.0 + 1e-7) * lam
     cov = np.array([[lam, 0.0], [0.0, lam]])
     pair = JointGaussianPair(cov=cov, lam=lam, gamma=gamma, lambda_hat=lam)
+    with pytest.raises(NotPsdError):
+        sample_and_measure(pair, 1000, 0)
+
+
+@pytest.mark.parametrize("lam, gamma, lambda_hat", [(1.0, 1.5, 0.0), (1.0, 0.0, -0.5)])
+def test_not_psd_guard_where_one_radicand_is_negative(lam, gamma, lambda_hat):
+    # a collapsed reconstruction with gamma above lam, and a negative
+    # lambda_hat with gamma = 0, leave only sqrt(lam - gamma) or
+    # sqrt(lambda_hat) negative: the guard must name the pair, not take a
+    # root of a negative number
+    cov = np.array([[lam, 0.0], [0.0, lambda_hat]])
+    pair = JointGaussianPair(cov=cov, lam=lam, gamma=gamma, lambda_hat=lambda_hat)
     with pytest.raises(NotPsdError):
         sample_and_measure(pair, 1000, 0)
 

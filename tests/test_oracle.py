@@ -172,13 +172,17 @@ def test_predicted_start_is_interior_and_never_raises_the_barrier(kind):
         problem, x = _interior_barrier_problem(kind, rng)
         shift = None
         for k, mu in enumerate(weights):
+            x_value, x_slacks = problem.evaluate(x, mu)
             for factor in (1.0, 30.0, -1.0):
-                moved = None if shift is None else factor * shift
-                start, value, slacks = oracle._predicted_start(problem, x, mu, moved)
+                found = None
+                if shift is not None:
+                    # a stage's start: the line search with no required decrease
+                    found = oracle._line_search(problem, x, x_value, factor * shift, mu, 0.0)
+                start, value, slacks = found or (x, x_value, x_slacks)
                 assert problem.slacks(start) == slacks is not None
                 assert value == problem.evaluate(start, mu)[0]
                 if start is not x:
-                    assert value < problem.evaluate(x, mu)[0]
+                    assert value < x_value
                     accepted += factor == 1.0
                 else:
                     assert factor == -1.0 or shift is None
