@@ -164,8 +164,8 @@ def stationary_pair_kl(
     itself rounds to ``lam``.  May
     return a nonfinite or zero ``lambda_hat`` when the multipliers are
     degenerate enough to underflow the gap, or to leave neither closed-form
-    root inside ``(0, 1)``; callers should treat that as a zero-rate
-    boundary evaluation.
+    root inside ``(0, 1)``; the dual value there is not finite, and the
+    dual search rejects such multipliers.
 
     Raises
     ------

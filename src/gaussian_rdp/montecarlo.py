@@ -12,14 +12,17 @@ With the law factored in closed form, z - z_hat = (l11 - l21)*n0 - l22*n1
 is N(0, s2), so the mean of ``n`` squared differences is s2 times a
 chi-square variate with ``n`` degrees of freedom, over ``n``: one draw
 samples it with exactly the law of ``n`` sampled pairs, at a cost that does
-not grow with ``n``.  Each (seed, stream) seeds its own numpy ``Generator``
-over the SFC64 bit generator (both taken modulo 2**64), so the same seed,
-stream and numpy version draw the same value, and streams are independent.
+not grow with ``n``.
 
 Every component of a solution is sampled in one array pass: s2, the
 analytic distortion and the standard error are formed for all components
-at once, and only the draws, one per (seed, stream), are taken in turn.
-:func:`sample_and_measure` is the same pass over one component.
+at once, and one numpy ``Generator`` over the SFC64 bit generator, seeded
+by (seed modulo 2**64, 0), draws the chi-square variates of all
+components in one call, component ``i`` taking the ``i``-th.  So the same
+seed, ``n`` and numpy version draw the same values, and component ``i``
+depends only on (seed, ``i``, ``n``): the first ``k`` components of a run
+draw as a ``k``-component run would.  :func:`sample_and_measure` is the
+same pass over one component, so it draws as component 0 of any run.
 """
 
 from __future__ import annotations
@@ -148,10 +151,10 @@ def _difference_variance(lam, gamma, lambda_hat):
     return coef * coef + l22 * l22
 
 
-def _sample(lam, gamma, lambda_hat, n: int, seed: int, streams) -> list[SampleReport]:
+def _sample(lam, gamma, lambda_hat, n: int, seed: int) -> list[SampleReport]:
     """Sample and compare every component in one pass: component ``i``
-    draws from stream ``streams[i]``, and every report carries the family
-    threshold for the component count.
+    takes the ``i``-th variate of the seed's generator, and every report
+    carries the family threshold for the component count.
 
     Raises
     ------
@@ -166,9 +169,9 @@ def _sample(lam, gamma, lambda_hat, n: int, seed: int, streams) -> list[SampleRe
         raise DomainError("every lambda_hat must be finite")
     s2 = _difference_variance(lam, gamma, lambda_hat)
     # numpy.random is imported on first use, not with the package
-    rngs = (np.random.Generator(np.random.SFC64([seed & _MASK, k & _MASK])) for k in streams)
+    rng = np.random.Generator(np.random.SFC64([seed & _MASK, 0]))
     # the sum of n values of (z - z_hat)^2 is s2 times a chi-square variate
-    mean_d = s2 * np.array([rng.chisquare(n) for rng in rngs]) / n
+    mean_d = s2 * rng.chisquare(n, size=lam.size) / n
     analytic = distortion_terms(gamma, lam - gamma, lambda_hat)
     se = mean_d * math.sqrt(2.0 / n)
     threshold = _family_threshold(lam.size)
@@ -178,9 +181,7 @@ def _sample(lam, gamma, lambda_hat, n: int, seed: int, streams) -> list[SampleRe
     ]
 
 
-def sample_and_measure(
-    pair: JointGaussianPair, n: int, seed: int, stream: int = 0
-) -> SampleReport:
+def sample_and_measure(pair: JointGaussianPair, n: int, seed: int) -> SampleReport:
     """Sample the mean distortion of ``n`` joint draws and compare it.
 
     The standard error is the mean times sqrt(2/n), from the Gaussian
@@ -194,24 +195,20 @@ def sample_and_measure(
         If the closed-form factorization meets a negative radicand.
     """
     lam, gamma, lambda_hat = np.array([[pair.lam], [pair.gamma], [pair.lambda_hat]])
-    return _sample(lam, gamma, lambda_hat, n, seed, (stream,))[0]
+    return _sample(lam, gamma, lambda_hat, n, seed)[0]
 
 
 def verify_solution(
-    s: SourceSpectrum,
-    sol: RdpSolution,
-    n: int,
-    seed: int,
-    metric: PerceptionMetric | None = None,
+    s: SourceSpectrum, sol: RdpSolution, n: int, seed: int, metric: PerceptionMetric
 ) -> list[SampleReport]:
     """Sample every component of a solution and cross-check the totals.
 
-    Each component gets its own independent stream keyed by its index, and
-    every report the family-wise threshold for the component count.  The
-    summed analytic distortions are required to reproduce the
-    solution's achieved distortion to 1e-10 of itself; when the producing
-    metric is supplied, the summed analytic perceptions must reproduce the
-    achieved perception likewise.
+    All components are drawn from the seed's one generator, and every
+    report carries the family-wise threshold for the component count.  The
+    summed analytic distortions are required to reproduce the solution's
+    achieved distortion to 1e-10 of itself; under the KL or W2 metric that
+    produced the solution, the summed analytic perceptions must reproduce
+    its achieved perception likewise.
 
     Raises
     ------
@@ -222,14 +219,14 @@ def verify_solution(
         If a radicand of a closed-form factor is negative.
     """
     lam = s.lambdas
-    reports = _sample(lam, np.minimum(sol.gammas, lam), sol.lambda_hats, n, seed, range(lam.size))
+    reports = _sample(lam, np.minimum(sol.gammas, lam), sol.lambda_hats, n, seed)
     analytic_total = sum(r.analytic_distortion for r in reports)
     if abs(analytic_total - sol.achieved_distortion) > 1e-10 * sol.achieved_distortion:
         raise DomainError(
             "analytic distortion total does not reproduce the solution: "
             f"{analytic_total!r} vs {sol.achieved_distortion!r}"
         )
-    if metric in (PerceptionMetric.KL, PerceptionMetric.W2) and math.isfinite(
+    if metric is not PerceptionMetric.UNCONSTRAINED and math.isfinite(
         sol.achieved_perception
     ):
         perception_total = float(perception_terms(lam, sol.lambda_hats, metric).sum())

@@ -128,18 +128,8 @@ def _evaluate_dual(
     lam: np.ndarray, nu1: float, nu2: float, metric: PerceptionMetric,
     D: float, P: float,
 ) -> _DualState:
-    if metric is PerceptionMetric.KL:
-        gammas, gaps, hats = stationary_pair_kl(lam, nu1, nu2)
-        bad = ~((hats > 0.0) & (hats < math.inf))
-        if bad.any():
-            # multipliers degenerate enough to underflow the interior
-            # point; evaluate on the zero-rate boundary instead so the
-            # dual value stays finite
-            gammas[bad] = lam[bad]
-            gaps[bad] = 0.0
-            hats[bad] = lam[bad] * nu2 / (nu2 + 2.0 * nu1 * lam[bad])
-    else:
-        gammas, gaps, hats = stationary_pair_w2(lam, nu1, nu2)
+    pair = stationary_pair_kl if metric is PerceptionMetric.KL else stationary_pair_w2
+    gammas, gaps, hats = pair(lam, nu1, nu2)
     rate = float(rate_terms(lam, gammas, gaps).sum())
     dist = float(distortion_terms(gammas, gaps, hats).sum())
     perc = float(perception_terms(lam, hats, metric).sum())
@@ -285,9 +275,12 @@ def _try_newton(
     rises by ``_ARMIJO_C`` of that gain.  Log steps may not pass on that
     test: near a kink of the dual, such as ``nu1 = 1/(2*lambda)`` where a
     component's gap vanishes, a log step can raise the dual value while it
-    crosses the kink away from the root.  Nothing is carried from one
-    iteration to the next.  Returns the new multipliers and their
-    evaluation.
+    crosses the kink away from the root.  A candidate whose dual value is
+    not finite never passes: with both multipliers positive, a non-finite
+    slack, such as the one left where the KL stationary point underflows,
+    makes the value non-finite, and a value of +inf would pass the rise
+    test.  Nothing is carried from one iteration to the next.  Returns the
+    new multipliers and their evaluation.
     """
     nu1, nu2 = nu.tolist()
     hess = _relative_hessian(lam, nu1, nu2, state, metric)
@@ -296,8 +289,9 @@ def _try_newton(
         st = _evaluate_dual(lam, cand[0], cand[1], metric, D, P)
         # an unchanged nu gains exactly nothing, so it never passes
         gain = state.slack_d * (cand[0] - nu1) + state.slack_p * (cand[1] - nu2)
-        if _budget_ratio(st, tol_d, tol_p) < (1.0 - _ARMIJO_C * t) * phi or (
-            armijo and gain > 0.0 and st.value >= state.value + _ARMIJO_C * gain
+        if math.isfinite(st.value) and (
+            _budget_ratio(st, tol_d, tol_p) < (1.0 - _ARMIJO_C * t) * phi
+            or (armijo and gain > 0.0 and st.value >= state.value + _ARMIJO_C * gain)
         ):
             return np.array(cand), st
     return None

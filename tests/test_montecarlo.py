@@ -1,8 +1,8 @@
 """Tests for the sampling-based verification layer.
 
-The sampler draws the same values for the same seed, stream and numpy
-version, so the statistical assertions here are fixed regressions for the
-seeds used, not flaky checks.  Each is a 4-standard-error bound, which a
+The sampler draws the same values for the same seed, sample count and
+numpy version, so the statistical assertions here are fixed regressions
+for the seeds used, not flaky checks.  Each is a 4-standard-error bound, which a
 correct sampler misses with probability about 6e-5 on any other draw.
 """
 
@@ -87,7 +87,7 @@ def test_sampler_matches_elementwise_reference(lam, gamma, lambda_hat, n):
     # of their combined standard errors, and the standard errors, whose
     # relative spread is about 2.3/sqrt(n) between the two, within 10/sqrt(n)
     pair = build_pair(lam, gamma, lambda_hat)
-    rep = sample_and_measure(pair, n, 19, stream=4)
+    rep = sample_and_measure(pair, n, 19)
     mean_ref, se_ref = _elementwise_reference(pair, n, 19, 4)
     gap = abs(rep.empirical_distortion - mean_ref)
     assert gap <= 4.0 * math.hypot(rep.standard_error, se_ref), (gap, mean_ref)
@@ -127,22 +127,19 @@ def test_sampler_is_exact_where_the_elementwise_form_cancels(lambda_hat_ratio):
     assert abs(got - exact) <= 2e-15 * exact, (got, exact)
 
 
-@pytest.mark.parametrize(
-    "seed, stream, n", [(0, 0, 1000), (19, 4, 50_000), (2**63, 2**64 - 1, 10**12)]
-)
-def test_same_seed_and_stream_give_an_equal_report(seed, stream, n):
-    pair = build_pair(4.0, 4e-12, 1.6)
-    first = sample_and_measure(pair, n, seed, stream)
-    assert sample_and_measure(pair, n, seed, stream) == first
+@pytest.mark.parametrize("seed, n", [(0, 1000), (19, 50_000), (2**63, 10**12)])
+def test_same_seed_gives_an_equal_report(seed, n):
+    s, sol = _both_active_five()
+    first = verify_solution(s, sol, n, seed, PerceptionMetric.KL)
+    assert verify_solution(s, sol, n, seed, PerceptionMetric.KL) == first
 
 
-def test_z_scores_over_400_streams_are_standard():
+def test_z_scores_over_400_components_of_one_run_are_standard():
     # the z-score of a chi-square mean taken with its sampled standard
     # error has mean about -sqrt(2/n) = -0.045 and spread about 1 at n = 1000
-    z = []
-    for stream, (lam, gamma, lambda_hat) in enumerate(_random_pairs(400)):
-        rep = sample_and_measure(build_pair(lam, gamma, lambda_hat), 1000, 5, stream)
-        z.append((rep.empirical_distortion - rep.analytic_distortion) / rep.standard_error)
+    lam, gamma, lambda_hat = np.array(_random_pairs(400)).T
+    reports = montecarlo._sample(lam, gamma, lambda_hat, 1000, 5)
+    z = [(r.empirical_distortion - r.analytic_distortion) / r.standard_error for r in reports]
     assert abs(float(np.mean(z))) <= 0.25
     assert 0.85 <= float(np.std(z, ddof=1)) <= 1.15
 
@@ -186,7 +183,7 @@ def test_verify_solution_sets_the_family_threshold(size):
     lam = np.exp(np.random.default_rng(size).uniform(-1.0, 1.0, size))
     s = SourceSpectrum(tuple(lam.tolist()))
     sol = reverse_waterfill(s, 0.3 * float(lam.sum()))
-    reports = verify_solution(s, sol, 1000, 1)
+    reports = verify_solution(s, sol, 1000, 1, PerceptionMetric.UNCONSTRAINED)
     assert {r.threshold for r in reports} == {montecarlo._family_threshold(size)}
 
 
@@ -208,40 +205,60 @@ def _w2_2000():
     return s, solve(s, TradeoffQuery(0.3 * tr, 0.05 * tr, PerceptionMetric.W2))
 
 
-@pytest.mark.parametrize("problem", [_both_active_five, _ar1_48_p0, _w2_2000])
+_PROBLEMS = {
+    _both_active_five: PerceptionMetric.KL,
+    _ar1_48_p0: PerceptionMetric.W2,
+    _w2_2000: PerceptionMetric.W2,
+}
+
+
+@pytest.mark.parametrize("problem", list(_PROBLEMS))
 @pytest.mark.parametrize("n, seed", [(50_000, 0), (10**12, 2**63)])
-def test_verify_solution_is_sample_and_measure_per_component(problem, n, seed):
-    # one sampling path: component i of a solution is the one-component
-    # sample of its pair on stream i, judged at the family threshold
+def test_first_report_is_sample_and_measure(problem, n, seed):
+    # one sampling path: component 0 of a solution is the one-component
+    # sample of its pair, judged at the family threshold
     s, sol = problem()
-    reports = verify_solution(s, sol, n, seed)
-    threshold = montecarlo._family_threshold(s.dim)
-    for i, (lam, gamma, lambda_hat) in enumerate(
-        zip(s.lambdas.tolist(), sol.gammas.tolist(), sol.lambda_hats.tolist())
-    ):
-        pair = build_pair(lam, min(gamma, lam), lambda_hat)
-        want = sample_and_measure(pair, n, seed, stream=i)
-        assert reports[i] == dataclasses.replace(want, threshold=threshold), i
+    reports = verify_solution(s, sol, n, seed, _PROBLEMS[problem])
+    lam, gamma, lambda_hat = s.lambdas[0], sol.gammas[0], sol.lambda_hats[0]
+    pair = build_pair(float(lam), float(min(gamma, lam)), float(lambda_hat))
+    want = sample_and_measure(pair, n, seed)
+    assert reports[0] == dataclasses.replace(want, threshold=montecarlo._family_threshold(s.dim))
+
+
+@pytest.mark.parametrize("problem", list(_PROBLEMS))
+@pytest.mark.parametrize("n, seed", [(50_000, 0), (10**12, 2**63)])
+def test_first_reports_of_a_run_are_a_shorter_run(problem, n, seed):
+    # component i draws the i-th variate of the seed's one generator, so it
+    # depends only on (seed, i, n): the first k reports of an L-component
+    # run are those of a k-component run, up to the family threshold
+    s, sol = problem()
+    lam = s.lambdas
+    gamma = np.minimum(sol.gammas, lam)
+    reports = verify_solution(s, sol, n, seed, _PROBLEMS[problem])
+    for k in sorted({1, 2, 5, lam.size // 2, lam.size - 1}):
+        head = montecarlo._sample(lam[:k], gamma[:k], sol.lambda_hats[:k], n, seed)
+        threshold = montecarlo._family_threshold(k)
+        assert [dataclasses.replace(r, threshold=threshold) for r in reports[:k]] == head, k
 
 
 # sampled (empirical_distortion, standard_error) per component of the
-# both-active five-component KL solution, as drawn when the streams were
-# frozen; a change to the seeding or to s2 shows here, not only between
+# both-active five-component KL solution, as drawn from each seed's one
+# generator; a change to the seeding or to s2 shows here, not only between
 # two runs of one build
 FROZEN_DRAWS = {
     (50_000, 0): [
         (1.5887831773283023, 0.010048347097033254),
-        (1.4219380399899744, 0.008993125796007815),
-        (1.7204780734490077, 0.010881258752954658),
-        (1.6757587693681337, 0.01059842904040821),
-        (1.063972937613954, 0.0067291557032806626),
+        (1.426445761681123, 0.009021635131212166),
+        (1.7328090460846166, 0.010959246671542126),
+        (1.672997259463197, 0.01058096371824678),
+        (1.0690500575500093, 0.006761266229184229),
     ],
     (10**12, 2**63): [
         (1.594267160220253, 2.2546342400295217e-06),
-        (1.4291690940759936, 2.02115031576674e-06),
-        (1.73130093159077, 2.4484292580048406e-06),
-        (1.680862652057225, 2.377098759025736e-06),
-        (1.0644039895759505, 1.5052945579023396e-06),
+        (1.4291688648788785, 2.0211499916330713e-06),
+        (1.7313037432841016, 2.4484332343396837e-06),
+        (1.6808609069017781, 2.3770962910032347e-06),
+        (1.0644060176602175, 1.5052974260466156e-06),
     ],
 }
 
@@ -394,22 +411,24 @@ def test_sampling_is_bit_identical():
     assert a == b
 
 
-def test_streams_and_seeds_are_independent():
+def test_seeds_and_components_draw_different_values():
     pair = build_pair(1.0, 0.5, 0.5)
     base = sample_and_measure(pair, 10**4, 7)
     other_seed = sample_and_measure(pair, 10**4, 8)
-    other_stream = sample_and_measure(pair, 10**4, 7, stream=1)
     assert base.empirical_distortion != other_seed.empirical_distortion
-    assert base.empirical_distortion != other_stream.empirical_distortion
-    assert other_seed.empirical_distortion != other_stream.empirical_distortion
+    # one pair sampled twice in one run draws two different variates
+    lam, gamma, lambda_hat = np.array([[1.0, 1.0], [0.5, 0.5], [0.5, 0.5]])
+    twice = montecarlo._sample(lam, gamma, lambda_hat, 10**4, 7)
+    assert twice[0] == base
+    assert twice[1].empirical_distortion != base.empirical_distortion
 
 
 def test_negative_seed_draws_as_its_residue():
-    pair = build_pair(1.0, 0.5, 0.5)
-    neg = sample_and_measure(pair, 10**4, -5, stream=2)
-    pos = sample_and_measure(pair, 10**4, 2**64 - 5, stream=2)
-    assert neg.seed == -5
-    assert dataclasses.replace(neg, seed=pos.seed) == pos
+    s, sol = _both_active_five()
+    neg = verify_solution(s, sol, 10**4, -5, PerceptionMetric.KL)
+    pos = verify_solution(s, sol, 10**4, 2**64 - 5, PerceptionMetric.KL)
+    assert {r.seed for r in neg} == {-5}
+    assert [dataclasses.replace(r, seed=2**64 - 5) for r in neg] == pos
 
 
 def test_random_pairs_within_four_se():
@@ -426,7 +445,7 @@ def test_random_pairs_within_four_se():
 def test_verify_classic_rd_pair():
     s = SourceSpectrum((1.0, 1.0))
     sol = reverse_waterfill(s, 1.0)
-    reports = verify_solution(s, sol, 10**6, 42)
+    reports = verify_solution(s, sol, 10**6, 42, PerceptionMetric.UNCONSTRAINED)
     assert len(reports) == 2
     total = sum(r.empirical_distortion for r in reports)
     pooled = math.sqrt(sum(r.standard_error**2 for r in reports))
@@ -436,7 +455,7 @@ def test_verify_classic_rd_pair():
 def test_verify_perfect_perception_scalar():
     s = SourceSpectrum((1.0,))
     sol = solve_perfect_perception(s, 1.0)
-    reports = verify_solution(s, sol, 10**5, 7)
+    reports = verify_solution(s, sol, 10**5, 7, PerceptionMetric.W2)
     assert len(reports) == 1
     assert abs(reports[0].analytic_distortion - 1.0) < 1e-9
     assert reports[0].within_threshold

@@ -903,9 +903,8 @@ def test_slack_jacobian_on_the_kl_zero_rate_boundary():
     # on the zero-rate boundary (gaps 0) gamma is pinned and only lambda_hat
     # responds: in units of each variance, with k = nu1*lam, w = nu2 and
     # h = lambda_hat/lam, H = sum [k^2, k*w*p'; k*w*p', w^2*p'^2]/(w*p'').
-    # Multipliers small enough to reach the boundary by underflow leave H
-    # below the double range, so the boundary state is set by hand here as
-    # _evaluate_dual sets it
+    # Multipliers small enough to reach the boundary by underflow leave the
+    # dual value non-finite, so the boundary state is set by hand
     lam = np.array([1e-3, 0.5, 2.0])
     nu1, nu2 = 0.3, 2.0
     state = solver._evaluate_dual(lam, nu1, nu2, PerceptionMetric.KL, 0.0, 0.0)
@@ -919,13 +918,28 @@ def test_slack_jacobian_on_the_kl_zero_rate_boundary():
     expected = [np.sum(k * k / c), np.sum(k * nu2 * dp / c), np.sum(nu2 * nu2 * dp * dp / c)]
     assert np.all(np.array(expected) != 0.0)
     assert np.allclose([h00, h01, h11], expected, rtol=1e-14, atol=0.0)
-    # multipliers this small underflow every KL gap, so the dual is
-    # evaluated on the zero-rate boundary; p' = 0 there makes the undamped
-    # system singular: a damped step is taken
-    nu1, nu2 = 1e-170, 1.0
-    state = solver._evaluate_dual(lam, nu1, nu2, PerceptionMetric.KL, 1.0, 0.1)
-    assert np.all(state.gaps == 0.0)
-    assert_damped_step(lam, np.array([nu1, nu2]), state, PerceptionMetric.KL)
+
+
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+def test_newton_rejects_a_candidate_whose_dual_value_is_not_finite(monkeypatch, value):
+    # where the KL stationary point underflows, a slack and so the dual
+    # value are not finite, and a value of +inf would pass the rise test:
+    # a candidate evaluated to any non-finite value must not be taken,
+    # though its slacks, left as they are, would pass the slack test
+    lam, nu = np.array([1e-3, 0.5, 2.0]), np.array([0.3, 2.0])
+    args = (PerceptionMetric.KL, 1.0, 0.1)
+    state = solver._evaluate_dual(lam, nu[0], nu[1], *args)
+    step = solver._try_newton(lam, nu, state, *args, 1e-9, 1e-10)
+    assert step is not None
+    evaluate = solver._evaluate_dual
+
+    def nonfinite_value(*a):
+        st = evaluate(*a)
+        st.value = value
+        return st
+
+    monkeypatch.setattr(solver, "_evaluate_dual", nonfinite_value)
+    assert solver._try_newton(lam, nu, state, *args, 1e-9, 1e-10) is None
 
 
 def test_damped_step_on_a_nonfinite_jacobian():
