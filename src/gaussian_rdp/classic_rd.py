@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NonPositiveDistortionError, DomainError
+from .errors import DomainError, NonPositiveDistortionError, OutOfRangeError
 from .kernels import distortion_terms, perception_terms, rate_gaps, rate_terms
 from .kkt import residuals as kkt_residuals
 from .model import (
@@ -67,6 +67,9 @@ def water_level(s: SourceSpectrum, D: float) -> WaterLevel:
     ------
     NonPositiveDistortionError
         If ``D <= 0``.
+    OutOfRangeError
+        If the level is so small that its multiplier ``1/(2*nu)``
+        overflows, below about 2.8e-309.
     """
     if not (D > 0.0) or math.isnan(D):
         raise NonPositiveDistortionError(f"distortion budget must be positive, got {D!r}")
@@ -84,6 +87,11 @@ def water_level(s: SourceSpectrum, D: float) -> WaterLevel:
     candidates = (D - tail[1:]) / np.arange(1, lam.size + 1)
     next_break = np.concatenate((desc[1:], [-math.inf]))
     nu = float(candidates[np.argmax(candidates >= next_break)])
+    # the level's multiplier 1/(2*nu) must be a finite double
+    if not (nu > 0.0 and 0.5 / nu < math.inf):
+        raise OutOfRangeError(
+            f"distortion budget {D!r} is too small: its water level {nu!r} has no finite multiplier"
+        )
     return WaterLevel(nu=nu, per_component=np.minimum(nu, lam))
 
 

@@ -262,7 +262,12 @@ def _unit_factor(unit: str) -> float:
 def solution_record(
     D: float, P: float, metric: PerceptionMetric, sol: RdpSolution, unit: str = "nats"
 ) -> dict:
-    """JSON-ready dictionary of one solved query."""
+    """JSON-ready dictionary of one solved query.
+
+    Only rates convert to ``unit``: ``nu1`` and ``nu2`` stay in nats per
+    unit of budget (``nu1 = -dR/dD`` in nats), and ``kkt_residual`` has no
+    unit.
+    """
     f = _unit_factor(unit)
     return {
         "distortion_budget": D,

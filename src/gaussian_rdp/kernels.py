@@ -126,9 +126,18 @@ def rate_terms(lam: np.ndarray, gammas: np.ndarray, gaps: np.ndarray) -> np.ndar
 
     Where the gap is at most ``lam/2`` the rate is taken from the gap as
     ``-0.5*log1p(-gap/lam)``, which stays positive and exact to rounding
-    for a component whose water level rounds to ``lam``.
+    for a component whose water level rounds to ``lam``.  Where
+    ``lam/gamma`` overflows, a water level below about ``lam`` times
+    2^-1024, the rate is ``0.5*(log(lam) - log(gamma))``.
     """
-    rates = 0.5 * np.log(lam / gammas)
+    # no ratio reaches 2^1023 where the largest variance is below the
+    # smallest water level times 2^1023
+    if float(lam[lam.argmax()]) < float(gammas[gammas.argmin()]) * 2.0**1023:
+        rates = 0.5 * np.log(lam / gammas)
+    else:
+        with np.errstate(over="ignore"):
+            ratio = lam / gammas
+        rates = np.where(ratio < math.inf, 0.5 * np.log(ratio), 0.5 * (np.log(lam) - np.log(gammas)))
     near = gaps <= 0.5 * lam
     rates[near] = -0.5 * np.log1p(-gaps[near] / lam[near])
     return rates

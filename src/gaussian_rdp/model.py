@@ -106,6 +106,9 @@ class SourceSpectrum:
             raise DomainError(
                 "spectrum entries must be strictly positive; strip null components first"
             )
+        with np.errstate(over="ignore"):
+            if not np.isfinite(np.sum(lam)):
+                raise DomainError("spectrum's total variance must be finite")
         lam.setflags(write=False)
         object.__setattr__(self, "lambdas", lam)
         if self.basis is not None:
@@ -374,9 +377,14 @@ def zero_rate_reconstruction(
         kl = float(np.sum(tail + w2 / (1.0 + w)))
         return math.log(kl / P), -2.0 * float(np.sum((w / (1.0 + w)) ** 2)) / kl
 
-    # each KL term is at most 2*lambda^2/mu^2, so KL <= P at this start
-    start = 0.5 * math.log(2.0 * float(np.sum(lam * lam)) / P)
-    if start > math.log(float(lam.max())) + 40.0:
+    # each KL term is at most 2*lambda^2/mu^2, so KL <= P at this start;
+    # the sum is formed in units of the largest variance, so that it
+    # neither overflows nor underflows
+    top = float(lam.max())
+    r = lam / top
+    start_over_top = 0.5 * math.log(2.0 * float(np.sum(r * r)) / P)
+    start = math.log(top) + start_over_top
+    if start_over_top > 40.0:
         # mu > 1e17*lambda at the root, so every lambda_hat rounds to lambda
         return lam.copy(), 2.0 * total
     # a root below the floor means the budget is so large that the optimal

@@ -124,9 +124,12 @@ def _difference_variance(lam, gamma, lambda_hat):
     """Variance of ``z - z_hat = (l11 - l21)*n0 - l22*n1`` for each
     component, from the closed-form 2x2 Cholesky factor of its pair.
 
-    ``l11 - l21`` is formed as ``(sqrt(lam) - sqrt(lambda_hat)) +
-    sqrt(lambda_hat) * gamma / (lam + sqrt(lam) * sqrt(lam - gamma))``,
-    which keeps the digits of ``gamma`` where ``l21`` rounds to ``l11``.
+    With ``g = gamma/lam``, ``l11 - l21`` is formed as ``(sqrt(lam) -
+    sqrt(lambda_hat)) + sqrt(lambda_hat) * g / (1 + sqrt(gap/lam))``, which
+    keeps the digits of ``gamma`` where ``l21`` rounds to ``l11``, and
+    ``l22^2`` as ``lambda_hat*g``.  No product of two variances is formed,
+    so the variance neither overflows nor underflows at any scale of the
+    source.
 
     Raises
     ------
@@ -134,11 +137,11 @@ def _difference_variance(lam, gamma, lambda_hat):
         If a radicand of the factor is negative.
     """
     gap = lam - gamma
-    # l22^2 is the Schur complement lambda_hat*gamma/lam; for any pair
-    # build_pair accepts, it and the other radicands are nonnegative floats
-    # or their products, so a negative one is an inconsistent pair, not
-    # rounding
-    rad22 = lambda_hat * gamma / lam
+    g = gamma / lam
+    # l22^2 is the Schur complement lambda_hat*g; for any pair build_pair
+    # accepts, it and the other radicands are nonnegative floats or their
+    # products, so a negative one is an inconsistent pair, not rounding
+    rad22 = lambda_hat * g
     bad = np.flatnonzero((lambda_hat < 0.0) | (gap < 0.0) | (rad22 < 0.0))
     if bad.size:
         i = bad[0]
@@ -146,9 +149,9 @@ def _difference_variance(lam, gamma, lambda_hat):
             "pair covariance is not factorable: "
             f"lam {lam[i]}, gamma {gamma[i]}, lambda_hat {lambda_hat[i]}"
         )
-    root_lam, root_hat, l22 = np.sqrt(lam), np.sqrt(lambda_hat), np.sqrt(rad22)
-    coef = (root_lam - root_hat) + root_hat * gamma / (lam + root_lam * np.sqrt(gap))
-    return coef * coef + l22 * l22
+    root_hat = np.sqrt(lambda_hat)
+    coef = (np.sqrt(lam) - root_hat) + root_hat * g / (1.0 + np.sqrt(gap / lam))
+    return coef * coef + rad22
 
 
 def _sample(lam, gamma, lambda_hat, n: int, seed: int) -> list[SampleReport]:

@@ -33,18 +33,23 @@ A query (D, P, metric) lands in one of three regimes, checked in order:
    gain.  A log step may not pass on the dual value: near the kink at
    ``nu1 = 1/(2*lambda)``, where a component's gap vanishes, it can raise
    the value while it crosses the kink away from the root.  Both 2 by 2
-   systems are solved by one Cramer's rule on Python floats.  The search
-   stops once both budgets hold to 1e-9 of
-   themselves and the envelope estimate ``|nu1*slack_d + nu2*slack_p|`` of
-   the rate's error is at most 1e-10 of the rate, or after one more step
-   from a point where the budgets hold: near zero rate, budgets met to
-   1e-9 of themselves can still leave the rate off in its seventh digit.
-   Where the perception sum's own rounding error exceeds 1e-9 of P (tiny
-   budgets, ``lambda_hat/lam`` within about 1e-6 of one), P is held to
-   that error instead.  Where that error exceeds 1e-6 of P no point can
-   show the budget met, and a search that lands within it raises
-   ``ConvergenceError``.  An iteration where no candidate passes ends the
-   search with ``LineSearchError``.
+   systems are solved by one Cramer's rule on Python floats.
+
+   Each iteration forms one verdict on whether both budgets are met: the
+   distortion slack within 1e-9 of D first, and only then the perception
+   slack within 1e-9 of P or, where the perception sum's own rounding
+   error is larger (tiny budgets, ``lambda_hat/lam`` within about 1e-6 of
+   one), within that error.  Every ending of the search follows from the
+   verdict in one place.  A met point whose rounding error exceeds 1e-6 of
+   P cannot show the budget met, so it raises ``ConvergenceError``.  A met
+   point is returned once the envelope estimate
+   ``|nu1*slack_d + nu2*slack_p|`` of the rate's error is at most 1e-10 of
+   the rate, after one more step from a met point (near zero rate, budgets
+   met to 1e-9 of themselves can still leave the rate off in its seventh
+   digit), where no candidate passes, or on the last permitted iteration;
+   one left on a component at zero rate raises ``ConvergenceError``.  A
+   point not met raises ``LineSearchError`` where no candidate passes, and
+   ``ConvergenceError`` at the iteration cap.
 
 A perception budget of exactly zero pins every reconstruction variance to
 its source variance, sending nu2 to infinity; that regime is handled by a
@@ -318,38 +323,13 @@ def _perception_noise(lam: np.ndarray, hats: np.ndarray, metric: PerceptionMetri
     return 2.0 * _EPS * float((np.abs(root - np.sqrt(hats)) * root).sum())
 
 
-def _budgets_met(
-    lam: np.ndarray, nu: np.ndarray, state: _DualState, metric: PerceptionMetric,
-    tol_d: float, tol_p: float, iteration: int,
-) -> bool:
-    """Both slacks within tolerance.
-
-    Where the perception sum's own rounding error exceeds ``tol_p`` no
-    multiplier pair may meet ``tol_p``, so the perception slack is held to
-    that error instead.  Where that error also exceeds
-    ``_NOISY_BUDGET_RTOL`` of the budget, a slack within it cannot show
-    the budget met to that fraction: a search that reaches such a point
-    raises ``ConvergenceError`` rather than return a possible budget miss.
-    """
-    if not abs(state.slack_d) <= tol_d:
-        return False
-    noise = _perception_noise(lam, state.hats, metric)
-    if not abs(state.slack_p) <= max(tol_p, noise):
-        return False
-    if noise > tol_p * (_NOISY_BUDGET_RTOL / _BUDGET_RTOL):
-        raise _search_error(
-            ConvergenceError, "the perception sum's rounding error exceeds the budget's tolerance",
-            iteration, nu, state,
-        )
-    return True
-
-
 def _dual_search(
     s: SourceSpectrum, metric: PerceptionMetric, D: float, P: float, level: float
 ) -> RdpSolution:
     lam = s.lambdas
     tol_d = _BUDGET_RTOL * D
-    tol_p = _BUDGET_RTOL * P
+    # a subnormal budget whose tolerance underflows keeps the least positive one
+    tol_p = max(_BUDGET_RTOL * P, math.ulp(0.0))
     # nu1 starts at the classical multiplier of the water level; nu2 carries
     # units of 1/distortion under W2, whose budget is a squared distance,
     # and none under KL, whose budget is dimensionless
@@ -357,41 +337,51 @@ def _dual_search(
     nu = np.array([0.5 / level, nu2])
     state = _evaluate_dual(lam, nu[0], nu[1], metric, D, P)
     polishing = False
-    for iteration in range(_MAX_DUAL_ITERATIONS):
-        met = _budgets_met(lam, nu, state, metric, tol_d, tol_p, iteration)
+    for iteration in range(_MAX_DUAL_ITERATIONS + 1):
+        # the verdict: the distortion slack first, and only where it holds
+        # the perception slack, against tol_p or the perception sum's
+        # rounding error where that is larger; where that error exceeds the
+        # noisy budget's tolerance too, no slack can show the budget met,
+        # and the search raises rather than return a possible miss
+        met = abs(state.slack_d) <= tol_d
         if met:
-            # by the envelope identities the rate is off by about
-            # nu1*slack_d + nu2*slack_p, which near zero rate can exceed
-            # the rate's own digits while both budgets hold: one more step
-            # polishes it
-            envelope = float(nu[0] * state.slack_d + nu[1] * state.slack_p)
-            if polishing or abs(envelope) <= _POLISH_RTOL * (state.value - envelope):
-                break
-        newton = _try_newton(lam, nu, state, metric, D, P, tol_d, tol_p)
-        if newton is None:
-            if met:
-                break
+            noise = _perception_noise(lam, state.hats, metric)
+            met = abs(state.slack_p) <= max(tol_p, noise)
+        if met and noise > tol_p * (_NOISY_BUDGET_RTOL / _BUDGET_RTOL):
+            raise _search_error(
+                ConvergenceError, "the perception sum's rounding error exceeds the budget's tolerance",
+                iteration, nu, state,
+            )
+        # by the envelope identities the rate is off by about
+        # nu1*slack_d + nu2*slack_p, which near zero rate can exceed the
+        # rate's own digits while both budgets hold: one more step
+        # polishes it
+        envelope = float(nu[0]) * state.slack_d + float(nu[1]) * state.slack_p
+        last = iteration == _MAX_DUAL_ITERATIONS
+        done = last or (met and (polishing or abs(envelope) <= _POLISH_RTOL * (state.value - envelope)))
+        newton = None if done else _try_newton(lam, nu, state, metric, D, P, tol_d, tol_p)
+        if newton is not None:
+            polishing = met
+            nu, state = newton
+        elif not (met or last):
             raise _search_error(
                 LineSearchError, "dual ascent stalled before meeting the budget equations",
                 iteration, nu, state,
             )
-        polishing = met
-        nu, state = newton
-    else:
-        if not _budgets_met(lam, nu, state, metric, tol_d, tol_p, _MAX_DUAL_ITERATIONS):
+        elif not met:
             raise _search_error(
-                ConvergenceError, "dual search exhausted its iteration budget",
-                _MAX_DUAL_ITERATIONS, nu, state,
+                ConvergenceError, "dual search exhausted its iteration budget", iteration, nu, state
             )
-    if not np.all(state.gaps > 0.0):
-        raise _search_error(
-            ConvergenceError, "dual search ended on a component at zero rate",
-            iteration, nu, state,
-        )
-    return assemble(
-        lam, state.gammas, state.gaps, state.hats, float(nu[0]), float(nu[1]),
-        metric, D, P, SolutionCase.BOTH_ACTIVE,
-    )
+        elif not np.all(state.gaps > 0.0):
+            raise _search_error(
+                ConvergenceError, "dual search ended on a component at zero rate",
+                iteration, nu, state,
+            )
+        else:
+            return assemble(
+                lam, state.gammas, state.gaps, state.hats, float(nu[0]), float(nu[1]),
+                metric, D, P, SolutionCase.BOTH_ACTIVE,
+            )
 
 
 def _zero_rate_solution(
@@ -460,12 +450,16 @@ def _perfect_perception_interior(s: SourceSpectrum, D: float) -> RdpSolution:
     low = D <= total
     if low:
         # the distortion is at most L/(2 nu1), so this start lies right of
-        # the root
-        x0 = math.log(lam.size / (2.0 * D))
+        # the root; 0.5*L/D rounds as L/(2D) does, without forming 2D,
+        # which may overflow
+        x0 = math.log(0.5 * lam.size / D)
     else:
-        # the shortfall is at most 4 nu1 sum(lam^2): a start left of the root
+        # the shortfall is at most 4 nu1 sum(lam^2): a start left of the
+        # root, with the sum in units of the largest variance
         short_d = 2.0 * total - D
-        x0 = math.log(short_d / (4.0 * float((lam * lam).sum())))
+        top = float(lam.max())
+        r = lam / top
+        x0 = math.log(short_d / top / (4.0 * float((r * r).sum()))) - math.log(top)
 
     def excess(x: float) -> tuple[float, float]:
         z = (4.0 * math.exp(x)) * lam
@@ -515,14 +509,17 @@ def high_distortion_p0_estimate(
 
     At distortion ``2*sum(lambdas) - eps`` the rate behaves as
     ``eps^2/(8*sum(lambda^2))``; the matching water levels fall below each
-    variance by ``eps^2 lambda^3/(4 (sum lambda^2)^2)``.
+    variance by ``eps^2 lambda^3/(4 (sum lambda^2)^2)``.  Both are formed
+    in units of the largest variance, so they hold at any scale.
     """
     if eps < 0.0 or math.isnan(eps):
         raise DomainError(f"eps must be nonnegative, got {eps!r}")
     lam = s.lambdas
-    ssq = float(np.sum(lam * lam))
-    rate = eps * eps / (8.0 * ssq)
-    levels = lam - eps * eps * lam**3 / (4.0 * ssq * ssq)
+    top = float(lam.max())
+    r, e = lam / top, eps / top
+    ssq = float(np.sum(r * r))
+    rate = e * e / (8.0 * ssq)
+    levels = lam - lam * (r * r) * (e * e / (4.0 * ssq * ssq))
     return rate, levels
 
 

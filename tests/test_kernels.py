@@ -406,6 +406,19 @@ def test_rate_terms_take_small_rates_from_the_gap():
     assert abs(rates[3] / (0.5 * 1.7e-18) - 1.0) < 1e-15
 
 
+def test_rate_terms_split_the_log_where_the_ratio_overflows():
+    # lam/gamma = 2e308 overflows; the rate is 0.5*(log(lam) - log(gamma)),
+    # and a ratio just below the largest double keeps the one-log form
+    lam = np.array([2.0, 1.0, 1.0])
+    gammas = np.array([1e-308, 1e-308, 0.5])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        rates = kernels.rate_terms(lam, gammas, lam - gammas)
+    assert rates[0] == 0.5 * (math.log(2.0) - math.log(1e-308))
+    assert rates[1] == 0.5 * math.log(1.0 / 1e-308)
+    assert rates[2] == 0.5 * math.log(2.0)
+
+
 def test_kl_stationary_unit_point():
     g = stationary_gamma_kl(1.0, 1.0, 1.0)
     assert abs(g - KL_UNIT["gamma"]) < 1e-14

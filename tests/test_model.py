@@ -1,6 +1,7 @@
 """Tests for core model types and the zero-rate feasibility helpers."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -43,6 +44,15 @@ def test_spectrum_validation():
         SourceSpectrum(np.array([1.0, -2.0]))
     with pytest.raises(DomainError):
         SourceSpectrum(np.array([1.0, np.inf]))
+
+
+def test_spectrum_with_an_overflowing_total_variance_is_rejected():
+    # each variance is finite, but their sum is not
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(DomainError, match="total variance"):
+            SourceSpectrum(np.array([1e308, 1e308]))
+        assert SourceSpectrum(np.array([8e307, 8e307])).total_variance == 1.6e308
 
 
 def test_spectrum_preserves_order_and_sums():

@@ -10,6 +10,7 @@ import dataclasses
 import math
 import random
 import tracemalloc
+import warnings
 
 import mpmath
 import numpy as np
@@ -272,6 +273,32 @@ def test_draws_are_frozen(n, seed):
     for rep, (mean_d, se) in zip(reports, FROZEN_DRAWS[n, seed], strict=True):
         assert abs(rep.empirical_distortion - mean_d) <= 4.5e-16 * mean_d
         assert abs(rep.standard_error - se) <= 4.5e-16 * se
+
+
+def test_verdicts_are_free_of_units_over_the_whole_double_range():
+    # lambda = (c, 2c), D = c, W2 P = 0.1c at the CLI's 50,000 samples and
+    # seed 0: s2 was once formed from lambda_hat*gamma, a product of two
+    # variances, which overflowed beyond c of about 1e154 (every sampled
+    # distortion and standard error inf, so the check passed vacuously)
+    # and lost its digits below about 1e-162 (the samples fell to 0.46 and
+    # 0.23 of the analytic distortion)
+    def run(c):
+        s = SourceSpectrum((c, 2.0 * c))
+        sol = solve(s, TradeoffQuery(c, 0.1 * c, PerceptionMetric.W2))
+        reports = verify_solution(s, sol, 50_000, 0, PerceptionMetric.W2)
+        z = [(r.empirical_distortion - r.analytic_distortion) / r.standard_error for r in reports]
+        return [r.within_threshold for r in reports], z, [r.standard_error for r in reports]
+
+    verdicts, z_ref, _ = run(1.0)
+    assert verdicts == [True, True]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for k in range(-300, 301, 2):
+            c = 10.0**k
+            got, z, se = run(c)
+            assert got == verdicts, k
+            assert max(abs(a - b) for a, b in zip(z, z_ref)) <= 1e-12, (k, z)
+            assert all(0.0 < e < math.inf for e in se), (k, se)
 
 
 def test_build_pair_covariance_entries():

@@ -359,13 +359,18 @@ def test_estimate_domain_errors():
 
 
 def test_convergence_error_carries_diagnostics(monkeypatch):
+    # one iteration leaves this search short of its budgets, so it ends
+    # at its cap with the point it reached
     s = spectrum(3.0, 2.0, 5.0, 4.0, 1.0)
     monkeypatch.setattr(solver, "_MAX_DUAL_ITERATIONS", 1)
-    with pytest.raises(ConvergenceError) as info:
+    with pytest.raises(ConvergenceError, match="^dual search exhausted its iteration budget$") as info:
         solver.solve(s, TradeoffQuery(7.5, 0.1, PerceptionMetric.KL))
+    assert type(info.value) is ConvergenceError
     diag = info.value.diagnostics
-    for key in ("iterations", "nu1", "nu2", "slack_distortion", "slack_perception"):
-        assert key in diag
+    assert set(diag) == {"iterations", "nu1", "nu2", "slack_distortion", "slack_perception"}
+    assert diag["iterations"] == 1
+    assert diag["nu1"] > 0.0 and diag["nu2"] > 0.0
+    assert abs(diag["slack_distortion"]) > 1e-9 * 7.5 or abs(diag["slack_perception"]) > 1e-9 * 0.1
 
 
 def wide_fuzz_queries(count, seed=1):
@@ -575,6 +580,94 @@ def test_solve_is_free_of_units_over_the_whole_double_range(metric, budget):
     assert {k: d for k, d in off.items() if not abs(d) <= 1e-12} == {}
 
 
+@pytest.mark.parametrize(
+    "metric,P,ratio",
+    [(PerceptionMetric.KL, 0.05, r) for r in (1.05, 1.2, 1.5, 1.9)]
+    + [(PerceptionMetric.W2, 0.0, r) for r in (1.2, 1.9, 1.999)],
+    ids=["kl-1.05", "kl-1.2", "kl-1.5", "kl-1.9", "p0-1.2", "p0-1.9", "p0-1.999"],
+)
+def test_solve_above_the_total_variance_is_free_of_units(metric, P, ratio):
+    # lambda = c*(3, 2, 1), D = ratio*tr: the KL zero-rate root and the
+    # P = 0 search above tr once started from sum(lambda^2) in absolute
+    # units, which overflows beyond c of about 1e154 and underflows below
+    # about 1e-162; the KL zero-rate boundary then read 2*tr, or a log of
+    # zero raised. At 1.9*tr the KL answer is rate 0
+    def solve_at(c):
+        lam = c * np.array([3.0, 2.0, 1.0])
+        q = TradeoffQuery(ratio * float(lam.sum()), P, metric)
+        return solver.solve(SourceSpectrum(lam), q)
+
+    ref = solve_at(1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        sols = {k: solve_at(10.0**k) for k in range(-300, 301, 2)}
+    assert {k: sol.case_tag for k, sol in sols.items() if sol.case_tag is not ref.case_tag} == {}
+    if ref.total_rate == 0.0:
+        assert ref.case_tag is SolutionCase.DISTORTION_INACTIVE
+        assert {k: sol.total_rate for k, sol in sols.items() if sol.total_rate != 0.0} == {}
+    else:
+        off = {k: sol.total_rate / ref.total_rate - 1.0 for k, sol in sols.items()}
+        assert {k: d for k, d in off.items() if not abs(d) <= 1e-12} == {}
+
+
+def test_high_distortion_estimate_is_free_of_units():
+    # the estimate once divided by sum(lambda^2) and its square, which
+    # underflow to zero at c = 1e-200
+    base = np.array([3.0, 2.0, 1.0])
+    rate, levels = solver.high_distortion_p0_estimate(SourceSpectrum(base), 0.01)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for k in range(-300, 301, 2):
+            c = 10.0**k
+            r, lv = solver.high_distortion_p0_estimate(SourceSpectrum(c * base), 0.01 * c)
+            assert abs(r / rate - 1.0) <= 1e-12, k
+            assert float(np.max(np.abs(lv / c / levels - 1.0))) <= 1e-12, k
+
+
+def test_a_tiny_distortion_budget_gives_a_finite_rate():
+    # at D = 1e-308 both water levels are 5e-309 and lam/gamma = 2e308
+    # overflows: the rate once read inf
+    s = spectrum(1.0, 2.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        sol = solver.solve(s, TradeoffQuery(1e-308, math.inf, PerceptionMetric.UNCONSTRAINED))
+    exact = sum(0.5 * (mpmath.log(lam) - mpmath.log(g)) for lam, g in zip((1.0, 2.0), sol.gammas))
+    assert sol.gammas.tolist() == [5e-309, 5e-309]
+    assert abs(sol.total_rate / float(exact) - 1.0) <= 1e-15
+    assert abs(sol.total_rate - 710.236) < 1e-3
+
+
+def test_a_distortion_budget_whose_level_has_no_multiplier_is_refused(capsys):
+    # at D = 5e-324 the water level D/2 rounds to 0, and at 1e-310 its
+    # multiplier 1/(2*level) overflows: a library error, exit code 1, where
+    # a ZeroDivisionError once escaped the CLI
+    for D in (5e-324, 1e-310):
+        with pytest.raises(OutOfRangeError, match="too small"):
+            solver.solve(spectrum(1.0, 2.0), TradeoffQuery(D, math.inf, PerceptionMetric.UNCONSTRAINED))
+        argv = ["point", "--lambdas", "1,2", "--metric", "none", "--distortion", repr(D)]
+        assert main(argv) == 1
+        assert capsys.readouterr().err.startswith("error: distortion budget")
+
+
+def test_a_perception_budget_whose_tolerance_underflows_ends_in_a_library_error(capsys):
+    # 1e-9 of P = 1e-320 rounds to zero, and the search's slack ratio once
+    # divided by it: a ZeroDivisionError escaped the CLI
+    argv = [
+        "point", "--lambdas", "1e-300,2e-300", "--metric", "w2", "--distortion", "1e-300",
+        "--perception", "1e-320",
+    ]
+    assert main(argv) == 3
+    assert capsys.readouterr().err.startswith("convergence failure: ")
+
+
+def test_a_spectrum_whose_total_variance_overflows_exits_1(capsys):
+    argv = ["point", "--lambdas", "1e308,1e308", "--metric", "w2", "--distortion", "1", "--perception", "0.1"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(argv) == 1
+    assert "total variance" in capsys.readouterr().err
+
+
 def test_a_search_that_stops_moving_raises_at_once():
     # (3, 2, 1), D = 3, KL P = 100: the root sits at nu1 = 1/(2*lambda_3),
     # where the third component's gap vanishes, and the search lands on
@@ -633,6 +726,61 @@ def test_search_ending_on_a_zero_gap_raises_convergence_error(monkeypatch):
         "--perception", repr(QUERY_208.perception_budget),
     ]
     assert main(argv) == 3
+
+
+def _solve_candidate_9_100():
+    lam, D, P = CANDIDATE_9_100
+    return solver.solve(SourceSpectrum(lam), TradeoffQuery(D, P, PerceptionMetric.KL))
+
+
+def _assert_met_unpolished(sol, nu):
+    # the point of iteration 10 of CANDIDATE_9_100, where both budgets
+    # first hold and the envelope estimate is 2e-7 of the rate: its rate
+    # is that far from the polished one
+    _, D, P = CANDIDATE_9_100
+    assert sol.case_tag is SolutionCase.BOTH_ACTIVE
+    assert (sol.dual.nu1, sol.dual.nu2) == tuple(nu)
+    assert abs(sol.achieved_distortion - D) <= 1.01e-9 * D
+    assert abs(sol.achieved_perception - P) <= 1.01e-9 * P
+    assert 1e-8 < abs(sol.total_rate / 1.8414261287e-6 - 1.0) < 1e-6
+
+
+def test_a_met_point_where_no_candidate_passes_is_returned(monkeypatch):
+    # a met point whose rate is off by more than _POLISH_RTOL takes one
+    # more step; where no candidate passes there, the met point stands
+    try_newton = solver._try_newton
+    met = []
+
+    def no_step_once_met(lam, nu, state, metric, D, P, tol_d, tol_p):
+        if abs(state.slack_d) <= tol_d and abs(state.slack_p) <= tol_p:
+            envelope = float(nu[0] * state.slack_d + nu[1] * state.slack_p)
+            assert abs(envelope) > solver._POLISH_RTOL * (state.value - envelope)
+            met.append(nu.tolist())
+            return None
+        return try_newton(lam, nu, state, metric, D, P, tol_d, tol_p)
+
+    monkeypatch.setattr(solver, "_try_newton", no_step_once_met)
+    sol = _solve_candidate_9_100()
+    assert len(met) == 1
+    _assert_met_unpolished(sol, met[0])
+
+
+def test_a_search_met_on_its_last_iteration_returns(monkeypatch):
+    # with ten iterations permitted, the search ends on the met point of
+    # iteration 10 without its polishing step
+    try_newton = solver._try_newton
+    points = []
+
+    def recorded(*args):
+        out = try_newton(*args)
+        points.append(out[0].tolist())
+        return out
+
+    monkeypatch.setattr(solver, "_try_newton", recorded)
+    monkeypatch.setattr(solver, "_MAX_DUAL_ITERATIONS", 10)
+    sol = _solve_candidate_9_100()
+    assert len(points) == 10
+    _assert_met_unpolished(sol, points[-1])
 
 
 @pytest.mark.parametrize(
